@@ -1,58 +1,18 @@
-//! Hot-path microbenchmarks for the flat-SoA / scratch-reuse / skip work:
+//! Hot-path microbenchmarks for the scratch-reuse / skip work:
 //!
-//! * `edge_walk` — streaming every block through the AoS `block_at` path
-//!   vs the flat SoA offset-table path,
 //! * `scratch` — a fresh per-iteration accumulator allocation vs refilling
 //!   a reused buffer (the accumulate-mode change),
 //! * `monotone_skip` — full BFS/SSSP/CC runs with dirty-interval skipping
 //!   on vs off.
 //!
-//! `scripts/bench_report.sh` records the headline legacy-vs-new speedup on
-//! the largest dataset into `BENCH_hotpath.json`; these benches are the
-//! finer-grained view.
+//! `perfbench/` measures the end-to-end and per-layer host times; these
+//! benches are the finer-grained view.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyve_algorithms::{Bfs, ConnectedComponents, EdgeProgram, Sssp};
 use hyve_core::{SimulationSession, SystemConfig};
 use hyve_graph::{DatasetProfile, GridGraph, VertexId};
 use std::hint::black_box;
-
-const P: u32 = 64;
-
-fn bench_edge_walk(c: &mut Criterion) {
-    let graph = DatasetProfile::youtube_scaled().generate(2018);
-    let grid = GridGraph::partition(&graph, P).unwrap();
-    let flat = grid.flatten();
-    let mut group = c.benchmark_group("hotpath_edge_walk_yt_p64");
-    group.sample_size(20);
-    group.bench_function("aos_block_at", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for s in 0..P {
-                for d in 0..P {
-                    for e in grid.block_at(s, d).edges() {
-                        acc += u64::from(e.src.raw()) + u64::from(e.dst.raw());
-                    }
-                }
-            }
-            black_box(acc)
-        });
-    });
-    group.bench_function("flat_soa", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for s in 0..P {
-                for d in 0..P {
-                    for e in flat.block_edges(s, d) {
-                        acc += u64::from(e.src.raw()) + u64::from(e.dst.raw());
-                    }
-                }
-            }
-            black_box(acc)
-        });
-    });
-    group.finish();
-}
 
 fn bench_scratch_reuse(c: &mut Criterion) {
     const NV: usize = 75_781; // LJ-sized vertex array
@@ -101,7 +61,7 @@ fn run_skip_pair<P2: EdgeProgram>(
 
 fn bench_monotone_skip(c: &mut Criterion) {
     let graph = DatasetProfile::youtube_scaled().generate(2018);
-    let grid = GridGraph::partition(&graph, P).unwrap();
+    let grid = GridGraph::partition(&graph, 64).unwrap();
     let mut group = c.benchmark_group("hotpath_monotone_yt_p64");
     group.sample_size(10);
     run_skip_pair(&mut group, "bfs", &Bfs::new(VertexId::new(0)), &grid);
@@ -110,10 +70,5 @@ fn bench_monotone_skip(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_edge_walk,
-    bench_scratch_reuse,
-    bench_monotone_skip
-);
+criterion_group!(benches, bench_scratch_reuse, bench_monotone_skip);
 criterion_main!(benches);

@@ -320,19 +320,21 @@ pub(crate) fn random_access(
 /// Scales each channel's dynamic counters by the iteration count. Runs
 /// before the background pass: background energy accrues over the *total*
 /// runtime and must not be scaled again.
-pub(crate) fn scale_by_iterations(ledgers: &mut Ledgers, iters: f64) {
+/// Counts multiply as integers, so they stay exact past 2⁵³.
+pub(crate) fn scale_by_iterations(ledgers: &mut Ledgers, iterations: u32) {
+    let (n, x) = (u64::from(iterations), f64::from(iterations));
     for stats in [
         &mut ledgers.edge,
         &mut ledgers.global_vertex,
         &mut ledgers.local_vertex,
         &mut ledgers.logic,
     ] {
-        stats.reads = (stats.reads as f64 * iters) as u64;
-        stats.writes = (stats.writes as f64 * iters) as u64;
-        stats.bits_read = (stats.bits_read as f64 * iters) as u64;
-        stats.bits_written = (stats.bits_written as f64 * iters) as u64;
-        stats.dynamic_energy *= iters;
-        stats.busy_time *= iters;
+        stats.reads *= n;
+        stats.writes *= n;
+        stats.bits_read *= n;
+        stats.bits_written *= n;
+        stats.dynamic_energy *= x;
+        stats.busy_time *= x;
     }
 }
 

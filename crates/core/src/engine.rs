@@ -63,7 +63,7 @@ struct PuScratch<V> {
     /// locally dirty, which must veto skipping).
     touched: Vec<bool>,
     /// Whether `values` holds live data for the current iteration. False
-    /// when every block was skipped or empty and the lazy snapshot copy was
+    /// when every block was skipped and the lazy snapshot copy was
     /// elided; the reduce ignores inactive PUs.
     active: bool,
     /// Non-empty blocks this PU walked in the current iteration. Always
@@ -276,10 +276,9 @@ impl Engine {
             });
         }
         let schedule = crate::schedule::SuperBlockSchedule::new(p, n).expect("shape checked above");
-        // The contiguous SoA edge stream is memoized on the grid (built on
-        // first run, invalidated on mutation), and the per-run artifacts
-        // (block plan, out-degrees) derive from it in a single pass each
-        // instead of per-iteration rescans.
+        // The per-run artifacts (block plan, out-degrees) derive from the
+        // grid's sparse SoA edge storage once per run instead of
+        // per-iteration rescans.
         let flat = grid.flat();
         let plan = BlockPlan::build(flat, &schedule, strategy);
         let meta = GraphMeta {
@@ -500,13 +499,14 @@ impl Engine {
             fan_out_mut(strategy, &mut scratch, |pu, scratch| match mode {
                 ExecutionMode::Accumulate => {
                     scratch.active = true;
-                    // Accumulate mode walks every block unconditionally.
+                    // Accumulate mode walks every non-empty block
+                    // unconditionally.
                     scratch.blocks_processed = plan.blocks(pu).len() as u64;
                     scratch.blocks_skipped = 0;
                     scratch.values.fill(program.identity());
                     let acc = &mut scratch.values;
-                    for &(src, dst) in plan.blocks(pu) {
-                        for e in flat.block_edges(src, dst) {
+                    for &b in plan.blocks(pu) {
+                        for e in flat.edges_in(flat.block(b as usize).1) {
                             let msg = program.scatter(snapshot[e.src.index()], &e, meta);
                             acc[e.dst.index()] = program.merge(acc[e.dst.index()], msg);
                             if undirected {
@@ -522,12 +522,9 @@ impl Engine {
                     scratch.blocks_processed = 0;
                     scratch.blocks_skipped = 0;
                     scratch.touched.fill(false);
-                    for &(src, dst) in plan.blocks(pu) {
-                        let range = flat.block_range(src, dst);
-                        if range.is_empty() {
-                            continue;
-                        }
-                        let (si, di) = (src as usize, dst as usize);
+                    for &b in plan.blocks(pu) {
+                        let (id, range) = flat.block(b as usize);
+                        let (si, di) = (id.src as usize, id.dst as usize);
                         let src_clean = !dirty_now[si] && !scratch.touched[si];
                         let clean =
                             src_clean && (!undirected || (!dirty_now[di] && !scratch.touched[di]));
@@ -537,8 +534,8 @@ impl Engine {
                         }
                         scratch.blocks_processed += 1;
                         if !scratch.active {
-                            // Lazy snapshot copy: deferred past skipped and
-                            // empty blocks so a quiescent PU never pays it.
+                            // Lazy snapshot copy: deferred past skipped
+                            // blocks so a quiescent PU never pays it.
                             scratch.values.copy_from_slice(snapshot);
                             scratch.active = true;
                         }
@@ -695,7 +692,7 @@ impl Engine {
             updating: updating_time * iters,
             overhead: overhead_time * iters,
         };
-        accounting::scale_by_iterations(&mut ledgers, iters);
+        accounting::scale_by_iterations(&mut ledgers, iterations);
 
         let mut total_time = iteration_time * iters;
         // Reliability pass (only when the session's fault plan is active):

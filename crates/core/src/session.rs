@@ -521,6 +521,27 @@ mod tests {
     }
 
     #[test]
+    fn accumulate_iterations_count_the_non_empty_blocks_walked() {
+        use crate::trace::SharedRecorder;
+        // The paper's Fig. 1 graph: 11 edges in 9 of the 4×4 blocks.
+        let edges = "1 0\n0 7\n2 3\n2 4\n3 4\n3 7\n4 1\n4 5\n6 2\n6 0\n7 1\n";
+        let fig1 = hyve_graph::io::parse(edges.as_bytes()).unwrap();
+        let grid = GridGraph::partition(&fig1, 4).unwrap();
+        let recorder = SharedRecorder::new();
+        let session = SimulationSession::builder(SystemConfig::hyve().with_num_pus(2))
+            .with_trace(recorder.clone())
+            .build()
+            .unwrap();
+        session.run(&PageRank::new(3), &grid).unwrap();
+        let iterations = recorder.artifact().iterations;
+        assert_eq!(iterations.len(), 3);
+        for it in iterations {
+            assert_eq!(it.blocks_processed, grid.non_empty_blocks() as u64);
+            assert_eq!(it.blocks_skipped, 0);
+        }
+    }
+
+    #[test]
     fn sweep_surfaces_first_error_in_input_order() {
         let g = graph();
         let configs = [SystemConfig::hyve(), SystemConfig::hyve().with_num_pus(0)];

@@ -1,8 +1,9 @@
 //! Stale-cache property for the dynamic-update path: after an arbitrary
-//! AddEdge/RemoveEdge sequence (each applied against a warmed
-//! [`GridGraph::flat`] memo, so a missed invalidation would be observable),
-//! running on the mutated grid is bit-identical to running on a grid rebuilt
-//! from scratch from the mutated edge set.
+//! AddEdge/RemoveEdge sequence (each applied against a warm
+//! [`DynamicGrid::grid`] snapshot, so a missed invalidation would be
+//! observable), the snapshot equals a from-scratch materialisation, and
+//! running on it is bit-identical to running on a grid rebuilt from scratch
+//! from the mutated edge set.
 //!
 //! Vertex mutations are excluded on purpose: padding-slot vertices map to
 //! intervals round-robin from the *old* materialised count, which a fresh
@@ -40,13 +41,14 @@ proptest! {
         let mut d = DynamicGrid::new(grid, 0.3);
         for (add, a, b) in ops {
             let nv = d.num_vertices();
-            // Warm the memo before every mutation.
-            let _ = d.grid().flat();
+            // Warm the snapshot before every mutation.
+            let _ = d.grid();
             if add {
                 let _ = d.apply(Mutation::AddEdge(Edge::new(a % nv, b % nv)));
             } else {
                 let _ = d.apply(Mutation::RemoveEdge { src: a % nv, dst: b % nv });
             }
+            prop_assert_eq!(d.grid(), &d.materialize());
         }
         let scheme = d.grid().partition_info().scheme();
         let rebuilt =

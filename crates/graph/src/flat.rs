@@ -1,37 +1,34 @@
-//! [`FlatGrid`]: a flat structure-of-arrays image of a [`GridGraph`].
+//! [`FlatGrid`]: the grid's edge storage, a sparse structure-of-arrays.
 //!
-//! The mutable grid stores each block as its own `Vec<Edge>` (AoS, with §5
-//! slack and overflow segments for dynamic updates). That is the right shape
-//! for O(1) insertion but the wrong shape for the simulator's hot loop,
-//! which streams every edge of every block once per iteration. `FlatGrid`
-//! re-materialises the grid the way the paper's §3.4 layout actually sits in
-//! edge memory — one contiguous edge stream with a per-block offset table —
-//! split into parallel `src`/`dst`/`weight` columns so a block walk is a
-//! pure sequential scan with no per-block pointer chase.
+//! The paper's §3.4 layout stores each block as a header plus an edge array,
+//! one block after another in edge memory. `FlatGrid` holds exactly that
+//! stream for the blocks that hold edges: one contiguous edge array split
+//! into parallel `src`/`dst`/`weight` columns, the row-major list of
+//! non-empty block coordinates, and each one's start offset. Empty blocks
+//! take no space, so memory and every walk over the grid are
+//! O(E + non-empty blocks + P), not O(P²) — at the interval counts the
+//! planner picks for PageRank on TW almost all of the P² blocks are empty.
 //!
-//! Blocks appear in row-major order (matching
-//! [`BlockId::linear`](crate::partition::BlockId::linear)) and edges within
-//! a block keep the source grid's order, so iterating a `FlatGrid` visits
-//! edges in exactly the same order as [`GridGraph::iter_edges`].
+//! Edges within a block keep the order partitioning or §5's dynamic
+//! updates left them in: a PU's walk, and so every float it accumulates,
+//! follows that order.
 
-use crate::grid::GridGraph;
+use crate::partition::BlockId;
 use crate::types::Edge;
 use std::ops::Range;
 
-/// A read-only structure-of-arrays snapshot of a [`GridGraph`].
-///
-/// Built with [`GridGraph::flatten`] (owned snapshot) or served from the
-/// grid's memoized [`GridGraph::flat`] cache; the grid remains the mutable
-/// representation (dynamic §5 updates go there) and invalidates the cache
-/// on mutation.
+/// The read-only edge storage of a [`GridGraph`](crate::GridGraph), served
+/// by [`GridGraph::flat`](crate::GridGraph::flat).
 ///
 /// ```
-/// use hyve_graph::{Edge, EdgeList, GridGraph};
+/// use hyve_graph::{BlockId, Edge, EdgeList, GridGraph};
 ///
 /// # fn main() -> Result<(), hyve_graph::GraphError> {
 /// let g = EdgeList::from_edges(8, [Edge::new(2, 4), Edge::new(0, 7)])?;
-/// let flat = GridGraph::partition(&g, 4)?.flatten();
+/// let grid = GridGraph::partition(&g, 4)?;
+/// let flat = grid.flat();
 /// assert_eq!(flat.block_len(1, 2), 1); // e2.4 in B1.2, as in Fig. 1
+/// assert_eq!(flat.block_ids(), [BlockId::new(0, 3), BlockId::new(1, 2)]);
 /// assert_eq!(flat.num_edges(), 2);
 /// # Ok(())
 /// # }
@@ -39,46 +36,52 @@ use std::ops::Range;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatGrid {
     p: u32,
-    num_vertices: u32,
-    /// Row-major block boundaries into the edge columns; length `P² + 1`.
+    /// Coordinates of the non-empty blocks, in row-major order.
+    blocks: Vec<BlockId>,
+    /// Start of each non-empty block in the edge columns, plus a final
+    /// entry equal to the edge count; length `blocks.len() + 1`.
     offsets: Vec<usize>,
     src: Vec<u32>,
     dst: Vec<u32>,
     weight: Vec<f32>,
-    /// Per-vertex out-degree, computed once at flatten time so runs don't
-    /// rescan the edge stream for it.
+    /// Per-vertex out-degree, tallied once when the grid is built so runs
+    /// don't rescan the edge stream for it.
     out_degrees: Vec<u32>,
 }
 
 impl FlatGrid {
-    /// Flattens a grid into contiguous SoA edge columns.
-    pub fn from_grid(grid: &GridGraph) -> Self {
-        let p = grid.num_intervals();
-        let ne = grid.num_edges() as usize;
-        let mut offsets = Vec::with_capacity(p as usize * p as usize + 1);
-        let mut src = Vec::with_capacity(ne);
-        let mut dst = Vec::with_capacity(ne);
-        let mut weight = Vec::with_capacity(ne);
-        offsets.push(0);
-        let mut out_degrees = vec![0u32; grid.num_vertices() as usize];
-        for block in grid.blocks() {
-            for e in block.edges() {
-                src.push(e.src.raw());
-                dst.push(e.dst.raw());
-                weight.push(e.weight);
-                // Dynamic updates may append edges whose endpoints live in
-                // reserved padding slots beyond the materialised vertex
-                // count; grow rather than panic on those.
-                if e.src.index() >= out_degrees.len() {
-                    out_degrees.resize(e.src.index() + 1, 0);
-                }
-                out_degrees[e.src.index()] += 1;
+    /// Builds the storage over edge columns already in row-major block
+    /// order, where `block_of(src, dst)` names an edge's block: one
+    /// sequential scan finds the block boundaries and tallies out-degrees.
+    pub(crate) fn from_columns(
+        p: u32,
+        num_vertices: u32,
+        columns: Columns,
+        block_of: impl Fn(u32, u32) -> BlockId,
+    ) -> Self {
+        let Columns { src, dst, weight } = columns;
+        let mut blocks: Vec<BlockId> = Vec::new();
+        let mut offsets = Vec::new();
+        let mut out_degrees = vec![0u32; num_vertices as usize];
+        for (i, (&s, &d)) in src.iter().zip(&dst).enumerate() {
+            let id = block_of(s, d);
+            if blocks.last() != Some(&id) {
+                debug_assert!(blocks.last() < Some(&id), "blocks out of row-major order");
+                blocks.push(id);
+                offsets.push(i);
             }
-            offsets.push(src.len());
+            // Dynamic updates may append edges whose endpoints live in
+            // reserved padding slots beyond the materialised vertex count;
+            // grow rather than panic on those.
+            if s as usize >= out_degrees.len() {
+                out_degrees.resize(s as usize + 1, 0);
+            }
+            out_degrees[s as usize] += 1;
         }
+        offsets.push(src.len());
         FlatGrid {
             p,
-            num_vertices: grid.num_vertices(),
+            blocks,
             offsets,
             src,
             dst,
@@ -92,18 +95,39 @@ impl FlatGrid {
         self.p
     }
 
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> u32 {
-        self.num_vertices
-    }
-
     /// Number of edges.
     pub fn num_edges(&self) -> u64 {
         self.src.len() as u64
     }
 
-    /// The edge-column range of the block at (src interval, dst interval) —
-    /// an O(1) offset-table lookup.
+    /// Number of blocks holding at least one edge.
+    pub fn non_empty_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Coordinates of the non-empty blocks, in row-major order.
+    pub fn block_ids(&self) -> &[BlockId] {
+        &self.blocks
+    }
+
+    /// The `i`-th non-empty block (row-major) and its edge-column range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.non_empty_blocks()`.
+    pub fn block(&self, i: usize) -> (BlockId, Range<usize>) {
+        (self.blocks[i], self.offsets[i]..self.offsets[i + 1])
+    }
+
+    /// Iterates the non-empty blocks in row-major order with their
+    /// edge-column ranges.
+    pub fn blocks(&self) -> impl Iterator<Item = (BlockId, Range<usize>)> + '_ {
+        (0..self.blocks.len()).map(|i| self.block(i))
+    }
+
+    /// The edge-column range of the block at (src interval, dst interval),
+    /// found by binary search over the non-empty blocks; empty for a block
+    /// without edges.
     ///
     /// # Panics
     ///
@@ -114,8 +138,10 @@ impl FlatGrid {
             src < p && dst < p,
             "block ({src},{dst}) out of a {p}x{p} grid"
         );
-        let i = src as usize * p as usize + dst as usize;
-        self.offsets[i]..self.offsets[i + 1]
+        match self.blocks.binary_search(&BlockId::new(src, dst)) {
+            Ok(i) => self.block(i).1,
+            Err(i) => self.offsets[i]..self.offsets[i],
+        }
     }
 
     /// Number of edges in the block at (src interval, dst interval).
@@ -129,7 +155,7 @@ impl FlatGrid {
     }
 
     /// Iterates the edges in an arbitrary column `range` (as produced by
-    /// [`block_range`](Self::block_range)).
+    /// [`block`](Self::block) or [`block_range`](Self::block_range)).
     pub fn edges_in(&self, range: Range<usize>) -> impl Iterator<Item = Edge> + '_ {
         self.src[range.clone()]
             .iter()
@@ -138,30 +164,41 @@ impl FlatGrid {
             .map(|((&s, &d), &w)| Edge::with_weight(s, d, w))
     }
 
-    /// Iterates every edge in block row-major order — the same order as
-    /// [`GridGraph::iter_edges`] on the source grid.
+    /// Iterates every edge, block by block in row-major order.
     pub fn iter_edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.edges_in(0..self.src.len())
     }
 
-    /// Out-degree of every vertex, tallied once at flatten time.
+    /// Out-degree of every vertex, tallied once when the grid was built.
     pub fn out_degrees(&self) -> &[u32] {
         &self.out_degrees
     }
+}
 
-    /// The contiguous source-vertex column.
-    pub fn srcs(&self) -> &[u32] {
-        &self.src
+/// Edge columns in row-major block order, as [`FlatGrid::from_columns`]
+/// takes them.
+#[derive(Debug)]
+pub(crate) struct Columns {
+    pub(crate) src: Vec<u32>,
+    pub(crate) dst: Vec<u32>,
+    pub(crate) weight: Vec<f32>,
+}
+
+impl Columns {
+    /// Empty columns with room for `n` edges.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Columns {
+            src: Vec::with_capacity(n),
+            dst: Vec::with_capacity(n),
+            weight: Vec::with_capacity(n),
+        }
     }
 
-    /// The contiguous destination-vertex column.
-    pub fn dsts(&self) -> &[u32] {
-        &self.dst
-    }
-
-    /// The contiguous weight column.
-    pub fn weights(&self) -> &[f32] {
-        &self.weight
+    /// Appends one edge.
+    pub(crate) fn push(&mut self, e: Edge) {
+        self.src.push(e.src.raw());
+        self.dst.push(e.dst.raw());
+        self.weight.push(e.weight);
     }
 }
 
@@ -169,91 +206,54 @@ impl FlatGrid {
 mod tests {
     use super::*;
     use crate::edgelist::EdgeList;
+    use crate::grid::tests::fig1;
+    use crate::grid::GridGraph;
 
-    /// The paper's Fig. 1 graph (same fixture as the grid tests).
-    fn fig1() -> EdgeList {
-        EdgeList::from_edges(
-            8,
-            [
-                (1, 0),
-                (0, 7),
-                (2, 3),
-                (2, 4),
-                (3, 4),
-                (3, 7),
-                (4, 1),
-                (4, 5),
-                (6, 2),
-                (6, 0),
-                (7, 1),
-            ]
-            .into_iter()
-            .map(|(s, d)| Edge::new(s, d)),
-        )
-        .unwrap()
+    #[test]
+    fn blocks_tile_the_edge_columns() {
+        let grid = GridGraph::partition(&fig1(), 4).unwrap();
+        let flat = grid.flat();
+        assert_eq!(flat.num_intervals(), 4);
+        assert_eq!(flat.non_empty_blocks(), 9);
+        assert!(flat.block_ids().windows(2).all(|w| w[0] < w[1]));
+        let mut covered = 0;
+        for (id, range) in flat.blocks() {
+            assert!(!range.is_empty(), "only non-empty blocks are listed");
+            assert_eq!(range.start, covered);
+            assert_eq!(flat.block_range(id.src, id.dst), range);
+            covered = range.end;
+        }
+        assert_eq!(covered, 11);
+        let walked: Vec<Edge> = flat.blocks().flat_map(|(_, r)| flat.edges_in(r)).collect();
+        assert_eq!(walked, flat.iter_edges().collect::<Vec<_>>());
     }
 
     #[test]
-    fn flatten_matches_block_assignment() {
+    fn empty_blocks_have_empty_ranges() {
         let grid = GridGraph::partition(&fig1(), 4).unwrap();
-        let flat = grid.flatten();
-        assert_eq!(flat.num_intervals(), 4);
-        assert_eq!(flat.num_vertices(), 8);
-        assert_eq!(flat.num_edges(), 11);
+        let flat = grid.flat();
         for s in 0..4 {
             for d in 0..4 {
-                assert_eq!(flat.block_len(s, d), grid.block_at(s, d).len());
-                let from_flat: Vec<Edge> = flat.block_edges(s, d).collect();
-                assert_eq!(from_flat, grid.block_at(s, d).edges());
+                let listed = flat.block_ids().contains(&BlockId::new(s, d));
+                assert_eq!(flat.block_range(s, d).is_empty(), !listed);
             }
         }
-    }
-
-    #[test]
-    fn iteration_order_matches_grid() {
-        let grid = GridGraph::partition(&fig1(), 4).unwrap();
-        let flat = grid.flatten();
-        let from_flat: Vec<Edge> = flat.iter_edges().collect();
-        let from_grid: Vec<Edge> = grid.iter_edges().copied().collect();
-        assert_eq!(from_flat, from_grid);
+        let empty = GridGraph::partition(&EdgeList::new(8), 4).unwrap();
+        assert_eq!(empty.flat().non_empty_blocks(), 0);
+        assert!(empty.flat().block_range(3, 3).is_empty());
     }
 
     #[test]
     fn out_degrees_match_source_list() {
         let g = fig1();
-        let flat = GridGraph::partition(&g, 4).unwrap().flatten();
-        assert_eq!(flat.out_degrees(), g.out_degrees());
-    }
-
-    #[test]
-    fn columns_are_contiguous_and_aligned() {
-        let flat = GridGraph::partition(&fig1(), 4).unwrap().flatten();
-        assert_eq!(flat.srcs().len(), 11);
-        assert_eq!(flat.dsts().len(), 11);
-        assert_eq!(flat.weights().len(), 11);
-        // Offsets are monotone and cover the columns exactly.
-        let r = flat.block_range(3, 3);
-        assert!(r.end <= flat.srcs().len());
-        assert_eq!(flat.block_range(0, 0).start, 0);
-    }
-
-    #[test]
-    fn empty_grid_flattens() {
-        let flat = GridGraph::partition(&EdgeList::new(8), 4)
-            .unwrap()
-            .flatten();
-        assert_eq!(flat.num_edges(), 0);
-        for s in 0..4 {
-            for d in 0..4 {
-                assert!(flat.block_range(s, d).is_empty());
-            }
-        }
+        let grid = GridGraph::partition(&g, 4).unwrap();
+        assert_eq!(grid.flat().out_degrees(), g.out_degrees());
     }
 
     #[test]
     #[should_panic(expected = "out of a")]
     fn block_range_out_of_bounds_panics() {
-        let flat = GridGraph::partition(&fig1(), 2).unwrap().flatten();
-        let _ = flat.block_range(2, 0);
+        let grid = GridGraph::partition(&fig1(), 2).unwrap();
+        let _ = grid.flat().block_range(2, 0);
     }
 }

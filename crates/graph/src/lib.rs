@@ -4,10 +4,13 @@
 //!
 //! * [`EdgeList`] / [`Csr`] — basic containers,
 //! * [`GridGraph`] — the interval-block (P×P) partitioning of §2.1/Fig. 1,
-//!   with per-block reserved slack for dynamic updates (§5),
-//! * [`FlatGrid`] — a read-only structure-of-arrays snapshot of a grid
-//!   (§3.4's contiguous edge stream + offset table) for fast streaming,
-//! * [`DynamicGrid`] — the O(1) add/delete working flow for evolving graphs,
+//!   built in O(E + P) by two stable counting-sort passes,
+//! * [`FlatGrid`] — a grid's edge storage: §3.4's contiguous edge stream as
+//!   structure-of-arrays columns, over the non-empty blocks only, so memory
+//!   and walks are O(E + non-empty blocks + P) rather than O(P²),
+//! * [`DynamicGrid`] — the O(1) add/delete working flow for evolving graphs
+//!   (§5), with per-block reserved slack for the blocks that hold or have
+//!   held edges and a lazily rebuilt [`GridGraph`] snapshot,
 //! * [`generate`] — R-MAT and Erdős–Rényi generators,
 //! * [`DatasetProfile`] — scaled-down stand-ins for the paper's five SNAP
 //!   datasets (YT, WK, AS, LJ, TW) preserving |E|/|V| ratio and skew,
@@ -50,7 +53,7 @@ pub use edgelist::EdgeList;
 pub use error::GraphError;
 pub use flat::FlatGrid;
 pub use generate::{ErdosRenyi, Rmat};
-pub use grid::{Block, GridGraph};
+pub use grid::GridGraph;
 pub use partition::{block_sparsity, BlockId, IntervalPartition, PartitionScheme, SparsityStats};
 pub use stats::DegreeStats;
 pub use types::{Edge, VertexId};

@@ -9,7 +9,6 @@
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
 use crate::types::{Edge, VertexId};
-use std::collections::HashMap;
 
 /// Coordinates of one block in the P×P grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -201,8 +200,10 @@ pub struct SparsityStats {
 
 /// Computes GraphR-style block sparsity: vertices are grouped in runs of
 /// `block_dim` (GraphR: 8), and the grid of `(⌈V/8⌉)²` logical blocks is
-/// scanned for occupancy. Only non-empty blocks are materialised, so this
-/// scales to the paper's Twitter-sized grids.
+/// scanned for occupancy. The edges are bucketed by source block row, and
+/// each row's destination blocks are tallied in a row-wide scratch, so this
+/// takes O(E + V/`block_dim`) time and memory and scales to the paper's
+/// Twitter-sized grids.
 ///
 /// ```
 /// use hyve_graph::{block_sparsity, Edge, EdgeList};
@@ -221,14 +222,28 @@ pub struct SparsityStats {
 /// Panics if `block_dim` is zero.
 pub fn block_sparsity(g: &EdgeList, block_dim: u32) -> SparsityStats {
     assert!(block_dim > 0, "block dimension must be positive");
-    let mut counts: HashMap<(u32, u32), u64> = HashMap::new();
+    let rows = g.num_vertices().div_ceil(block_dim) as usize;
+    // dst_blocks[r]: the destination block of each edge in block row r.
+    let mut dst_blocks = vec![Vec::new(); rows];
     for e in g.iter() {
-        let key = (e.src.raw() / block_dim, e.dst.raw() / block_dim);
-        *counts.entry(key).or_insert(0) += 1;
+        dst_blocks[(e.src.raw() / block_dim) as usize].push(e.dst.raw() / block_dim);
     }
-    let non_empty = counts.len() as u64;
+    let (mut non_empty, mut max) = (0u64, 0u64);
+    let mut count = vec![0u64; rows];
+    let mut touched = Vec::new();
+    for row in &dst_blocks {
+        for &b in row {
+            if count[b as usize] == 0 {
+                touched.push(b);
+            }
+            count[b as usize] += 1;
+        }
+        non_empty += touched.len() as u64;
+        for b in touched.drain(..) {
+            max = max.max(std::mem::take(&mut count[b as usize]));
+        }
+    }
     let edges = g.len() as u64;
-    let max = counts.values().copied().max().unwrap_or(0);
     SparsityStats {
         non_empty_blocks: non_empty,
         edges,

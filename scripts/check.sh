@@ -40,4 +40,12 @@ trap 'rm -rf "$trace_dir"' EXIT
     exit 1
   }
 
+echo "==> benchmark smoke (perfbench builds and passes its checks)"
+last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload config-sweep --seconds 1 --trace 0 | tail -n 1)"
+grep -q '"correct": true' <<<"$last" || {
+    echo "perfbench smoke failed: $last" >&2
+    exit 1
+  }
+
 echo "All checks passed."

@@ -25,6 +25,7 @@ pub use hyve_core::{
     TraceArtifact, TraceChannel, TraceDiff, TraceEvent, TraceSink, VertexMemoryKind,
 };
 pub use hyve_graph::{
-    DatasetProfile, Edge, EdgeList, FlatGrid, GraphError, GridGraph, Rmat, VertexId,
+    BlockId, DatasetProfile, DynamicGrid, Edge, EdgeList, FlatGrid, GraphError, GridGraph,
+    Mutation, MutationOutcome, Rmat, VertexId,
 };
 pub use hyve_memsim::DeviceError;
