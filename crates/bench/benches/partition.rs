@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the two preprocessing paths
-//! (Fig. 12 / Fig. 19 substrate): HyVE's dense interval-block counting sort
+//! (Fig. 12 / Fig. 19 substrate): HyVE's two-pass interval counting sort
 //! at several partition counts and GraphR's associative 8×8 build.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

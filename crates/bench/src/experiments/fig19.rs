@@ -1,7 +1,7 @@
 //! Fig. 19: preprocessing-time ratio GraphR/HyVE (paper: 6.73× on average).
 //!
 //! Both preprocessors are real code paths measured by wall clock: HyVE's
-//! dense counting-sort into its planned P×P grid versus GraphR's
+//! counting sort into its planned P×P grid versus GraphR's
 //! associative build of `⌈V/8⌉²` logical 8×8 blocks.
 
 use crate::report;

@@ -1,7 +1,7 @@
 //! GraphR's fine-grained preprocessing: cutting a graph into 8×8 blocks.
 //!
-//! HyVE partitions into at most a few hundred intervals (dense bucket
-//! array, counting sort); GraphR needs `⌈V/8⌉²` logical blocks — billions
+//! HyVE partitions into at most a few thousand intervals (two counting-sort
+//! passes over interval indices); GraphR needs `⌈V/8⌉²` logical blocks — billions
 //! for the paper's graphs — so only non-empty blocks can be materialised,
 //! through a sorted associative index with per-edge lookup cost and sorted
 //! intra-block inserts (crossbar row order). That addressing overhead is
