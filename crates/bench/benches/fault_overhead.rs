@@ -2,7 +2,7 @@
 //! faultless session, one with an inert `FaultPlan::none()` (must be
 //! indistinguishable — the fault path is never entered), and one with an
 //! active SECDED plan (pays the single-threaded reliability pass in
-//! `Engine::account`, amortized over the whole run).
+//! `SimulationSession::account`, amortized over the whole run).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyve_algorithms::PageRank;

@@ -1,5 +1,5 @@
 //! One module per paper table/figure; each exposes `run()` returning
-//! structured rows and `print()` for the CLI binaries.
+//! structured rows and `print()` for the `all_experiments` driver.
 
 pub mod ablation;
 pub mod fig09;

@@ -1,10 +1,12 @@
 //! # hyve-bench — experiment harness for the HyVE reproduction
 //!
-//! One module (and one binary) per table and figure of the paper's
-//! evaluation. Each experiment returns structured rows so the binaries, the
-//! `all_experiments` driver and the tests share one implementation.
+//! One module per table and figure of the paper's evaluation. Each
+//! experiment returns structured rows so the `all_experiments` driver and
+//! the tests share one implementation; the driver runs every artifact, or
+//! only those named on its command line
+//! (`cargo run -p hyve-bench --release --bin all_experiments -- fig21 table4`).
 //!
-//! | paper artifact | module | binary |
+//! | paper artifact | module | driver name |
 //! |---|---|---|
 //! | Table 1 (Navg) | [`experiments::table1`] | `table1` |
 //! | Table 3 (bank configs) | [`experiments::table3`] | `table3` |
@@ -22,9 +24,10 @@
 //! | Fig. 19 (preprocessing time) | [`experiments::fig19`] | `fig19` |
 //! | Fig. 20 (dynamic throughput) | [`experiments::fig20`] | `fig20` |
 //! | Fig. 21 (GraphR comparison) | [`experiments::fig21`] | `fig21` |
+//! | Ablation (extension) | [`experiments::ablation`] | `ablation` |
 //!
-//! `cargo run -p hyve-bench --release --bin all_experiments` regenerates
-//! everything in sequence.
+//! With no names, `cargo run -p hyve-bench --release --bin all_experiments`
+//! regenerates everything in sequence.
 
 #![forbid(unsafe_code)]
 

@@ -58,17 +58,9 @@ pub fn partitioned_grid(profile: &DatasetProfile, graph: &EdgeList, p: u32) -> A
         .clone()
 }
 
-/// Dataset scale factor for a profile (TW is scaled harder, see DESIGN.md).
-pub fn scale_for(profile: &DatasetProfile) -> u32 {
-    match profile.tag {
-        "TW" => 512,
-        _ => 64,
-    }
-}
-
 /// Applies the profile's scale factor to a configuration.
 pub fn configure(cfg: SystemConfig, profile: &DatasetProfile) -> SystemConfig {
-    cfg.with_dataset_scale(scale_for(profile))
+    cfg.with_dataset_scale(profile.scale)
 }
 
 /// The execution strategy all experiments run under. Set
@@ -222,12 +214,6 @@ mod tests {
         assert_eq!(a.num_intervals(), 8);
         assert_eq!(wider.num_intervals(), 16);
         assert_eq!(a.num_edges(), graph.len() as u64);
-    }
-
-    #[test]
-    fn scale_factors() {
-        assert_eq!(scale_for(&DatasetProfile::twitter_scaled()), 512);
-        assert_eq!(scale_for(&DatasetProfile::youtube_scaled()), 64);
     }
 
     #[test]

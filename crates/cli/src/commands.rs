@@ -51,9 +51,8 @@ fn load(source: &SourceArgs) -> Result<(EdgeList, u32, String), CliError> {
     match &source.source {
         GraphSource::Dataset(tag) => {
             let profile = profile_by_tag(tag)?;
-            let scale = if profile.tag == "TW" { 512 } else { 64 };
             let name = profile.to_string();
-            Ok((profile.generate(source.seed), scale, name))
+            Ok((profile.generate(source.seed), profile.scale, name))
         }
         GraphSource::File(path) => {
             let file = std::fs::File::open(path)
@@ -419,7 +418,7 @@ fn recommend_cmd<W: Write>(args: RecommendArgs, out: &mut W) -> Result<(), CliEr
 }
 
 fn info<W: Write>(args: SourceArgs, out: &mut W) -> Result<(), CliError> {
-    let (graph, _, name) = load(&args)?;
+    let (graph, scale, name) = load(&args)?;
     writeln!(out, "graph : {name}").map_err(io_err)?;
     let deg = hyve_graph::DegreeStats::out_degrees(&graph);
     let stats = block_sparsity(&graph, 8);
@@ -447,7 +446,7 @@ fn info<W: Write>(args: SourceArgs, out: &mut W) -> Result<(), CliError> {
     .map_err(io_err)?;
     writeln!(out, "8x8 blocks (used) : {}", stats.non_empty_blocks).map_err(io_err)?;
     writeln!(out, "Navg              : {:.2}", stats.avg_edges_per_block).map_err(io_err)?;
-    let session = session_for(SystemConfig::hyve_opt(), 1)?;
+    let session = session_for(SystemConfig::hyve_opt().with_dataset_scale(scale), 1)?;
     let p = session.plan_intervals(&PageRank::new(10), graph.num_vertices());
     writeln!(out, "planned intervals : {p} (PR, 2 MB SRAM, scaled)").map_err(io_err)?;
     writeln!(out, "{}", session.hierarchy().spec()).map_err(io_err)
@@ -548,6 +547,27 @@ mod tests {
         let s = exec("info --dataset wk").unwrap();
         assert!(s.contains("Navg"));
         assert!(s.contains("planned intervals"));
+    }
+
+    /// `info` plans with the dataset's own scale, so the P it prints is the
+    /// P a PageRank run on the same dataset uses.
+    #[test]
+    fn info_plans_the_intervals_a_run_uses() {
+        let info = exec("info --dataset tw").unwrap();
+        let planned: u32 = info
+            .lines()
+            .find_map(|l| l.strip_prefix("planned intervals : "))
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|p| p.parse().ok())
+            .unwrap_or_else(|| panic!("no planned P in {info}"));
+        let dir = std::env::temp_dir().join("hyve-cli-info-plan-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("tw.jsonl");
+        let p = path.to_str().unwrap().to_string();
+        exec(&format!("run --alg pr --dataset tw --iters 1 --trace {p}")).unwrap();
+        let artifact = TraceArtifact::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(planned, artifact.intervals);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Each pass models one phase of Algorithm 2 — the edge stream, interval
 //! traffic with/without sharing, on-chip access + PU work, router
 //! overhead, the random-access fallback, and background power — reading
-//! the static [`Workload`] description and writing into its channels'
-//! [`Ledgers`]. The engine assembles the pass outputs into
+//! the static [`Workload`] description and writing into the run's
+//! [`EnergyBreakdown`]. The engine assembles the pass outputs into
 //! [`PhaseTimes`](crate::stats::PhaseTimes) and scales by the functional
 //! run's iteration count.
 //!
@@ -16,10 +16,10 @@
 
 use crate::controller::ResilienceModel;
 use crate::exec::BlockPlan;
-use crate::hierarchy::{Channel, DeviceSpec, HierarchyInstance, Ledgers};
+use crate::hierarchy::{Channel, DeviceSpec, HierarchyInstance};
 use crate::pu::ProcessingUnit;
 use crate::router::Router;
-use crate::stats::ReliabilityReport;
+use crate::stats::{EnergyBreakdown, ReliabilityReport};
 use hyve_algorithms::{EdgeProgram, ExecutionMode};
 use hyve_graph::GridGraph;
 use hyve_memsim::{
@@ -116,12 +116,12 @@ pub(crate) fn edge_stream(edge: &Channel, w: &Workload) -> EdgeStream {
 }
 
 impl EdgeStream {
-    /// Records the scan in the edge channel's ledger. Called after the
-    /// vertex-side passes so the edge ledger's accumulation order matches
+    /// Records the scan in the edge channel's stats. Called after the
+    /// vertex-side passes so the edge stats' accumulation order matches
     /// the report contract.
-    pub(crate) fn commit(&self, w: &Workload, ledgers: &mut Ledgers) {
-        ledgers
-            .edge
+    pub(crate) fn commit(&self, w: &Workload, breakdown: &mut EnergyBreakdown) {
+        breakdown
+            .edge_memory
             .record_read(w.edge_bits, self.energy, self.stream_time);
     }
 }
@@ -147,7 +147,7 @@ pub(crate) fn interval_traffic(
     local: &Channel,
     data_sharing: bool,
     w: &Workload,
-    ledgers: &mut Ledgers,
+    breakdown: &mut EnergyBreakdown,
 ) -> IntervalTraffic {
     let (dst_load_vertices, dst_store_vertices, src_load_vertices) = if data_sharing {
         (w.nv, w.nv, w.nv * u64::from(w.s))
@@ -176,10 +176,10 @@ pub(crate) fn interval_traffic(
     let lt_channel = stream.max(latency);
     let lt_local = local.device().bulk_transfer_time(load_bits) / f64::from(w.n);
     let loading = lt_channel.max(lt_local);
-    ledgers
-        .global_vertex
+    breakdown
+        .offchip_vertex
         .record_read(load_bits, vdev.read_energy(load_bits), lt_channel);
-    ledgers.local_vertex.record_write(
+    breakdown.onchip_vertex.record_write(
         load_bits,
         local.device().bulk_write_energy(load_bits),
         Time::ZERO,
@@ -192,10 +192,10 @@ pub(crate) fn interval_traffic(
     let ut_channel = global.costs().write_latency * f64::from(w.p)
         + global.costs().sequential_write_period
             * (store_bits.div_ceil(u64::from(global.costs().output_bits * global.chips()))) as f64;
-    ledgers
-        .global_vertex
+    breakdown
+        .offchip_vertex
         .record_write(store_bits, vdev.write_energy(store_bits), ut_channel);
-    ledgers.local_vertex.record_read(
+    breakdown.onchip_vertex.record_read(
         store_bits,
         local.device().bulk_read_energy(store_bits),
         Time::ZERO,
@@ -215,7 +215,7 @@ pub(crate) fn onchip_processing(
     local: &Channel,
     pu: &ProcessingUnit,
     w: &Workload,
-    ledgers: &mut Ledgers,
+    breakdown: &mut EnergyBreakdown,
 ) -> Time {
     let edges_per_access = (u64::from(edge.costs().output_bits) / hyve_graph::Edge::BITS).max(1);
     let edge_supply = edge.costs().burst_period * (f64::from(w.n) / edges_per_access as f64);
@@ -236,12 +236,12 @@ pub(crate) fn onchip_processing(
     let word_read = local_dev.read_energy(32) * w.words_per_value as f64;
     let word_write = local_dev.write_energy(32) * w.words_per_value as f64;
     let per_edge_onchip = word_read * 2.0 + word_write;
-    ledgers.local_vertex.record_read(
+    breakdown.onchip_vertex.record_read(
         traversals * w.value_bits * 2,
         per_edge_onchip * traversals as f64,
         Time::ZERO,
     );
-    ledgers.logic.record_read(
+    breakdown.logic.record_read(
         0,
         pu.edge_energy(w.arithmetic) * traversals as f64,
         Time::ZERO,
@@ -251,12 +251,12 @@ pub(crate) fn onchip_processing(
     // accumulator + previous value, write result, one ALU op.
     if w.accumulate {
         let apply_ops = w.nv;
-        ledgers.local_vertex.record_read(
+        breakdown.onchip_vertex.record_read(
             apply_ops * w.value_bits * 2,
             (word_read * 2.0 + word_write) * apply_ops as f64,
             Time::ZERO,
         );
-        ledgers
+        breakdown
             .logic
             .record_read(0, pu.edge_energy(true) * apply_ops as f64, Time::ZERO);
     }
@@ -265,7 +265,7 @@ pub(crate) fn onchip_processing(
 
 /// Per-iteration router traffic: (32-bit words forwarded between PUs,
 /// reroute steps). Shared by [`router_overhead`] and the trace layer so
-/// the numbers an observer sees are the numbers the ledger was charged
+/// the numbers an observer sees are the numbers the breakdown was charged
 /// for.
 pub(crate) fn router_traffic(w: &Workload) -> (u64, u64) {
     let steps = u64::from(w.s * w.s) * u64::from(w.n);
@@ -274,10 +274,14 @@ pub(crate) fn router_traffic(w: &Workload) -> (u64, u64) {
 
 /// Router pass: reroute per step, hop energy on every shared source read
 /// (§4.2). Returns the per-iteration rerouting overhead time.
-pub(crate) fn router_overhead(router: &Router, w: &Workload, ledgers: &mut Ledgers) -> Time {
+pub(crate) fn router_overhead(
+    router: &Router,
+    w: &Workload,
+    breakdown: &mut EnergyBreakdown,
+) -> Time {
     let (words, steps) = router_traffic(w);
     let hop = router.hop_energy_per_word() * words as f64 + router.reroute_energy() * steps as f64;
-    ledgers.logic.record_read(0, hop, Time::ZERO);
+    breakdown.logic.record_read(0, hop, Time::ZERO);
     router.reroute_latency() * steps as f64
 }
 
@@ -288,23 +292,23 @@ pub(crate) fn random_access(
     global: &Channel,
     pu: &ProcessingUnit,
     w: &Workload,
-    ledgers: &mut Ledgers,
+    breakdown: &mut EnergyBreakdown,
 ) -> Time {
     let traversals = w.traversals();
     let vdev = global.device();
     let rd = vdev.random_read_energy(w.value_bits);
     let wr = vdev.random_write_energy(w.value_bits);
-    ledgers.global_vertex.record_read(
+    breakdown.offchip_vertex.record_read(
         traversals * w.value_bits * 2,
         rd * 2.0 * traversals as f64,
         Time::ZERO,
     );
-    ledgers.global_vertex.record_write(
+    breakdown.offchip_vertex.record_write(
         traversals * w.value_bits,
         wr * traversals as f64,
         Time::ZERO,
     );
-    ledgers.logic.record_read(
+    breakdown.logic.record_read(
         0,
         pu.edge_energy(w.arithmetic) * traversals as f64,
         Time::ZERO,
@@ -315,27 +319,6 @@ pub(crate) fn random_access(
         (global.costs().read_latency * 2.0 + global.costs().write_latency) / BANK_PARALLELISM;
     let per_edge = per_edge_latency.max(pu.pipelined_period()) * w.traversal_factor as f64;
     per_edge * w.ne as f64
-}
-
-/// Scales each channel's dynamic counters by the iteration count. Runs
-/// before the background pass: background energy accrues over the *total*
-/// runtime and must not be scaled again.
-/// Counts multiply as integers, so they stay exact past 2⁵³.
-pub(crate) fn scale_by_iterations(ledgers: &mut Ledgers, iterations: u32) {
-    let (n, x) = (u64::from(iterations), f64::from(iterations));
-    for stats in [
-        &mut ledgers.edge,
-        &mut ledgers.global_vertex,
-        &mut ledgers.local_vertex,
-        &mut ledgers.logic,
-    ] {
-        stats.reads *= n;
-        stats.writes *= n;
-        stats.bits_read *= n;
-        stats.bits_written *= n;
-        stats.dynamic_energy *= x;
-        stats.busy_time *= x;
-    }
 }
 
 /// Output of the reliability pass: the run's reliability report plus the
@@ -428,20 +411,20 @@ fn channel_escalation(
 
 /// Reliability pass: interprets the session's [`FaultPlan`] against the
 /// run's total traffic, charging ECC corrections, retry backoff and bank
-/// sparing into the ledgers.
+/// sparing into the breakdown.
 ///
-/// Runs once per run, single-threaded, after [`scale_by_iterations`] (so
-/// the ledger counters are run totals) and before [`background`] (so the
-/// exposed time extends the leakage window). All randomness comes from
-/// the plan's seed, consumed in a fixed channel order — outcomes are
-/// identical across execution strategies and thread counts by
-/// construction.
+/// Runs once per run, single-threaded, after
+/// [`EnergyBreakdown::scale_by_iterations`] (so the counters are run
+/// totals) and before [`background`] (so the exposed time extends the
+/// leakage window). All randomness comes from the plan's seed, consumed in
+/// a fixed channel order — outcomes are identical across execution
+/// strategies and thread counts by construction.
 pub(crate) fn reliability(
     model: &ResilienceModel,
     hierarchy: &HierarchyInstance,
     w: &Workload,
     iterations: u32,
-    ledgers: &mut Ledgers,
+    breakdown: &mut EnergyBreakdown,
 ) -> ReliabilityOutcome {
     let plan = model.plan();
     let spec = hierarchy.spec();
@@ -449,10 +432,10 @@ pub(crate) fn reliability(
     let mut report = ReliabilityReport::default();
     let mut exposed = Time::ZERO;
 
-    // Detect→retry, per channel in fixed ledger order.
+    // Detect→retry, per channel in fixed breakdown order.
     exposed += channel_escalation(
         hierarchy.edge(),
-        &mut ledgers.edge,
+        &mut breakdown.edge_memory,
         channel_ber(plan, &spec.edge.device),
         plan.ecc,
         plan.max_retries,
@@ -461,7 +444,7 @@ pub(crate) fn reliability(
     );
     exposed += channel_escalation(
         hierarchy.global_vertex(),
-        &mut ledgers.global_vertex,
+        &mut breakdown.offchip_vertex,
         channel_ber(plan, &spec.global_vertex.device),
         plan.ecc,
         plan.max_retries,
@@ -471,7 +454,7 @@ pub(crate) fn reliability(
     if let (Some(local), Some(local_spec)) = (hierarchy.local_vertex(), &spec.local_vertex) {
         exposed += channel_escalation(
             local,
-            &mut ledgers.local_vertex,
+            &mut breakdown.onchip_vertex,
             channel_ber(plan, &local_spec.device),
             plan.ecc,
             plan.max_retries,
@@ -508,15 +491,15 @@ pub(crate) fn reliability(
     }
 
     // Each remapped bank's share of the edge array now streams from its
-    // spare — extra transfers every iteration, charged to the edge ledger.
+    // spare — extra transfers every iteration, charged to the edge channel.
     let remapped = spares.remaps().len() as u64;
     if remapped > 0 {
         let share_bits = (w.edge_bits / data_banks.max(1)).max(1);
         let extra_bits = share_bits * remapped * u64::from(iterations);
         let dev = hierarchy.edge().device();
         let extra_time = dev.sequential_read_time(extra_bits);
-        ledgers
-            .edge
+        breakdown
+            .edge_memory
             .record_read(extra_bits, dev.read_energy(extra_bits), extra_time);
         exposed += extra_time;
     }
@@ -541,7 +524,7 @@ pub(crate) fn background(
     total_time: Time,
     iterations: u32,
     w: &Workload,
-    ledgers: &mut Ledgers,
+    breakdown: &mut EnergyBreakdown,
 ) {
     let edge_bg = match hierarchy.gating() {
         Some(gating) => gating.background_energy(total_time, w.edge_bits, iterations),
@@ -551,19 +534,19 @@ pub(crate) fn background(
                 * total_time
         }
     };
-    ledgers.edge.record_background(edge_bg);
+    breakdown.edge_memory.record_background(edge_bg);
 
     let global = hierarchy.global_vertex();
-    ledgers.global_vertex.record_background(
+    breakdown.offchip_vertex.record_background(
         global.costs().background_power * f64::from(global.chips()) * total_time,
     );
     if let Some(local) = hierarchy.local_vertex() {
-        ledgers
-            .local_vertex
+        breakdown
+            .onchip_vertex
             .record_background(local.costs().background_power * total_time);
     }
     let logic_power = pu.leakage() * f64::from(w.n)
         + hierarchy.router().map_or(Power::ZERO, Router::leakage)
         + hierarchy.controller_power();
-    ledgers.logic.record_background(logic_power * total_time);
+    breakdown.logic.record_background(logic_power * total_time);
 }

@@ -24,16 +24,14 @@
 //! round-robin across `N` steps) and once per *step* when it is off.
 
 use crate::accounting::{self, Workload};
-use crate::config::SystemConfig;
 use crate::error::CoreError;
-use crate::exec::{fan_out_mut, BlockPlan, ExecutionStrategy};
-use crate::hierarchy::{HierarchyInstance, HierarchySpec};
-use crate::pu::ProcessingUnit;
-use crate::stats::{PhaseTimes, RunReport, RunTrace};
-use crate::trace::{SharedSink, TraceChannel, TraceEvent};
+use crate::exec::{fan_out_mut, BlockPlan};
+use crate::session::SimulationSession;
+use crate::stats::{EnergyBreakdown, PhaseTimes, RunReport};
+use crate::trace::{TraceChannel, TraceEvent};
 use hyve_algorithms::{EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
-use hyve_graph::{EdgeList, FlatGrid, GridGraph, VertexId};
-use hyve_memsim::{FaultPlan, Time};
+use hyve_graph::{GridGraph, VertexId};
+use hyve_memsim::Time;
 
 /// Cost of the one-shot preprocessing step: writing the partitioned edge
 /// data into the edge memory and the initial vertex values into the global
@@ -86,65 +84,9 @@ fn registers_change<V: PartialEq>(old: &V, new: &V) -> bool {
     new != old && new == new
 }
 
-/// The HyVE simulator core.
-///
-/// Crate-private since the session API landed: construct a
-/// [`SimulationSession`](crate::SimulationSession) instead — the builder
-/// validates the configuration and constructs the memory hierarchy once,
-/// and every run borrows both.
-#[derive(Debug, Clone)]
-pub(crate) struct Engine {
-    config: SystemConfig,
-    hierarchy: HierarchyInstance,
-    pu: ProcessingUnit,
-}
-
-impl Engine {
-    /// Validates the configuration, lowers it into a
-    /// [`HierarchySpec`] and constructs every device model once.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] from [`SystemConfig::validate`] or
-    /// device-model construction.
-    pub(crate) fn try_new(config: SystemConfig) -> Result<Self, CoreError> {
-        Engine::try_new_with_faults(config, FaultPlan::none())
-    }
-
-    /// Like [`try_new`](Self::try_new), with a fault-injection plan lowered
-    /// into the hierarchy spec. An inert plan ([`FaultPlan::none()`])
-    /// produces exactly the engine `try_new` builds.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] from configuration or plan validation,
-    /// or device-model construction.
-    pub(crate) fn try_new_with_faults(
-        config: SystemConfig,
-        faults: FaultPlan,
-    ) -> Result<Self, CoreError> {
-        config.validate()?;
-        let mut spec = HierarchySpec::lower(&config);
-        spec.faults = faults;
-        let hierarchy = HierarchyInstance::build(spec)?;
-        Ok(Engine {
-            config,
-            hierarchy,
-            pu: ProcessingUnit::new(),
-        })
-    }
-
-    /// The engine's configuration.
-    pub(crate) fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
-    /// The fully-constructed memory hierarchy, built at session build time
-    /// and reused by every run.
-    pub(crate) fn hierarchy(&self) -> &HierarchyInstance {
-        &self.hierarchy
-    }
-
+/// Algorithm 2 itself: the session runs it over the memory hierarchy it
+/// built once at [`build`](crate::SessionBuilder::build) time.
+impl SimulationSession {
     /// Picks the interval count `P` for a graph: the smallest multiple of
     /// the PU count such that `2·N` intervals (N source + N destination
     /// sections) fit in on-chip memory. Configurations without on-chip
@@ -170,83 +112,16 @@ impl Engine {
         p.min(num_vertices.max(1)).max(1)
     }
 
-    /// Partitions the edge list with the planned interval count and runs.
-    /// Test-only shorthand: the session layer has its own report-only
-    /// wrappers.
+    /// Runs over an existing grid, returning the report and the final
+    /// vertex values. Any thread count yields output bit-identical to the
+    /// sequential path: per-PU outcomes are pure functions of the
+    /// iteration-start snapshot and reduce in fixed PU order (see
+    /// [`crate::exec`]).
     ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation and partitioning errors.
-    #[cfg(test)]
-    pub fn run_on_edge_list<P: EdgeProgram>(
-        &self,
-        program: &P,
-        graph: &EdgeList,
-    ) -> Result<RunReport, CoreError> {
-        self.run_on_edge_list_with_values(program, graph)
-            .map(|(report, _)| report)
-    }
-
-    /// Like [`run_on_edge_list`](Self::run_on_edge_list), also returning the
-    /// final vertex values.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation and partitioning errors.
-    pub fn run_on_edge_list_with_values<P: EdgeProgram>(
-        &self,
-        program: &P,
-        graph: &EdgeList,
-    ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
-        let p = self.plan_intervals(program, graph.num_vertices());
-        let grid = GridGraph::partition(graph, p)?;
-        self.run_with_values(program, &grid)
-    }
-
-    /// Runs over an existing grid. The grid's interval count must be a
-    /// multiple of the PU count.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Unschedulable`] when `P mod N ≠ 0`; configuration errors
-    /// otherwise.
-    #[cfg(test)]
-    pub fn run<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<RunReport, CoreError> {
-        self.run_with_values(program, grid).map(|(r, _)| r)
-    }
-
-    /// Like [`run`](Self::run), also returning final vertex values.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_with_values<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
-        self.run_traced(program, grid, ExecutionStrategy::Sequential, true, None)
-            .map(|(report, values, _)| (report, values))
-    }
-
-    /// Runs under an explicit [`ExecutionStrategy`], returning the report,
-    /// the final vertex values, and the per-iteration [`RunTrace`]. Any
-    /// thread count yields output bit-identical to the sequential path:
-    /// per-PU outcomes are pure functions of the iteration-start snapshot
-    /// and reduce in fixed PU order (see [`crate::exec`]).
-    ///
-    /// `skip_clean` enables dirty-interval skipping for monotone programs
-    /// (see [`functional_run`](Self::functional_run)); it is a pure
-    /// optimisation toggle — results are bit-identical either way.
-    ///
-    /// `sink` is the optional trace receiver. Tracing is observation-only:
-    /// every emitted [`TraceEvent`] copies values this function computed
-    /// anyway, so reports and values are bit-identical with or without a
-    /// sink (the golden suite pins this).
+    /// An attached trace sink is observation-only: every emitted
+    /// [`TraceEvent`] copies values this function computed anyway, so
+    /// reports and values are bit-identical with or without one (the
+    /// golden suite pins this).
     ///
     /// # Errors
     ///
@@ -255,14 +130,11 @@ impl Engine {
     /// [`CoreError::MaxIterationsExceeded`] (carrying the partial report)
     /// when a converge-bound program is still changing values at its
     /// iteration cap.
-    pub(crate) fn run_traced<P: EdgeProgram>(
+    pub fn run_with_values<P: EdgeProgram>(
         &self,
         program: &P,
         grid: &GridGraph,
-        strategy: ExecutionStrategy,
-        skip_clean: bool,
-        sink: Option<&SharedSink>,
-    ) -> Result<(RunReport, Vec<P::Value>, RunTrace), CoreError> {
+    ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
         let n = self.config.num_pus;
         let p = grid.num_intervals();
         if p < n {
@@ -280,13 +152,14 @@ impl Engine {
         // grid's sparse SoA edge storage once per run instead of
         // per-iteration rescans.
         let flat = grid.flat();
-        let plan = BlockPlan::build(flat, &schedule, strategy);
+        let plan = BlockPlan::build(flat, &schedule, self.strategy);
         let meta = GraphMeta {
             num_vertices: grid.num_vertices(),
             num_edges: grid.num_edges(),
             out_degrees: flat.out_degrees().to_vec(),
         };
 
+        let sink = self.sink.as_ref();
         if let Some(sink) = sink {
             sink.record(&TraceEvent::RunStart {
                 algorithm: program.name(),
@@ -299,13 +172,11 @@ impl Engine {
         }
 
         // ---- functional pass -------------------------------------------
-        let (values, trace) = self.functional_run(
-            program, grid, flat, &meta, &plan, strategy, skip_clean, sink,
-        );
+        let (values, iterations, last_changed) = self.functional_run(program, grid, &meta, &plan);
 
         // ---- cost pass --------------------------------------------------
         let w = Workload::for_run(program, grid, &plan, self.config.num_pus);
-        let report = self.account(program, trace.iterations, &w);
+        let report = self.account(program, iterations, &w);
 
         if let Some(sink) = sink {
             sink.record(&TraceEvent::Phases {
@@ -322,12 +193,12 @@ impl Engine {
             }
             if let Some(gating) = self.hierarchy.gating() {
                 sink.record(&TraceEvent::GatingTransitions {
-                    transitions: gating.transitions(w.edge_bits, trace.iterations),
+                    transitions: gating.transitions(w.edge_bits, iterations),
                 });
             }
             if self.hierarchy.router().is_some() {
                 let (words, reroutes) = accounting::router_traffic(&w);
-                let iters = u64::from(trace.iterations);
+                let iters = u64::from(iterations);
                 sink.record(&TraceEvent::RouterTraffic {
                     words: words * iters,
                     reroutes: reroutes * iters,
@@ -359,7 +230,7 @@ impl Engine {
         // carrying the partial report (the trace artifact above is complete
         // either way, so observers see the capped run).
         if let IterationBound::Converge { max } = program.bound() {
-            if trace.iterations >= max && trace.changed.last().copied().unwrap_or(false) {
+            if iterations >= max && last_changed {
                 return Err(CoreError::MaxIterationsExceeded {
                     algorithm: program.name(),
                     max_iterations: max,
@@ -367,7 +238,7 @@ impl Engine {
                 });
             }
         }
-        Ok((report, values, trace))
+        Ok((report, values))
     }
 
     /// Cost of the one-shot initialization write (§3.1). ReRAM's limited
@@ -402,7 +273,8 @@ impl Engine {
     }
 
     /// Executes the program over the flattened grid, one snapshot-based
-    /// pass per iteration.
+    /// pass per iteration. Returns the final values, the iteration count
+    /// and whether the last iteration changed any value.
     ///
     /// Each PU walks its own blocks (in schedule order) against the
     /// iteration-start snapshot — accumulate programs into a per-PU
@@ -424,7 +296,7 @@ impl Engine {
     /// and is ignored by the reduce (merging a PU whose local values equal
     /// the snapshot is a no-op, since the join is idempotent).
     ///
-    /// ## Dirty-interval skipping (`skip_clean`, monotone only)
+    /// ## Dirty-interval skipping (monotone only)
     ///
     /// A block `(I, J)` may be skipped in iteration `k` when interval `I`
     /// is *clean* — no vertex of `I` changed in iteration `k-1`'s reduce —
@@ -439,18 +311,15 @@ impl Engine {
     /// the skip on or off (the cost pass charges full sweeps per §7.1
     /// regardless — accounting is untouched by design; see the proptest
     /// equivalence suite and DESIGN.md for the full argument).
-    #[allow(clippy::too_many_arguments)]
     fn functional_run<P: EdgeProgram>(
         &self,
         program: &P,
         grid: &GridGraph,
-        flat: &FlatGrid,
         meta: &GraphMeta,
         plan: &BlockPlan,
-        strategy: ExecutionStrategy,
-        skip_clean: bool,
-        sink: Option<&SharedSink>,
-    ) -> (Vec<P::Value>, RunTrace) {
+    ) -> (Vec<P::Value>, u32, bool) {
+        let (strategy, skip_clean) = (self.strategy, self.dirty_skipping);
+        let flat = grid.flat();
         let nv = meta.num_vertices as usize;
         let p = flat.num_intervals() as usize;
         let partition = grid.partition_info();
@@ -461,7 +330,7 @@ impl Engine {
         let mode = program.mode();
         let undirected = program.undirected();
         let mut iterations = 0;
-        let mut changed_flags = Vec::new();
+        let mut last_changed = false;
 
         let mut scratch: Vec<PuScratch<P::Value>> = (0..plan.num_pus())
             .map(|_| PuScratch {
@@ -605,8 +474,8 @@ impl Engine {
                     }
                 }
             }
-            changed_flags.push(changed);
-            if let Some(sink) = sink {
+            last_changed = changed;
+            if let Some(sink) = &self.sink {
                 sink.record(&TraceEvent::IterationEnd {
                     iteration: iterations,
                     changed,
@@ -619,13 +488,7 @@ impl Engine {
                 break;
             }
         }
-        (
-            values,
-            RunTrace {
-                iterations,
-                changed: changed_flags,
-            },
-        )
+        (values, iterations, last_changed)
     }
 
     /// Computes the full energy/time report for `iterations` identical
@@ -633,12 +496,12 @@ impl Engine {
     /// [`crate::accounting`] over the session's [`HierarchyInstance`].
     ///
     /// Every iteration makes exactly the same accesses (§7.1), so the
-    /// passes run once and the ledgers scale by the iteration count the
+    /// passes run once and the breakdown scales by the iteration count the
     /// functional run produced.
     fn account<P: EdgeProgram>(&self, program: &P, iterations: u32, w: &Workload) -> RunReport {
         let hierarchy = &self.hierarchy;
         let w = *w;
-        let mut ledgers = hierarchy.ledgers();
+        let mut breakdown = EnergyBreakdown::default();
 
         let edge = accounting::edge_stream(hierarchy.edge(), &w);
         let (loading_time, updating_time, processing_time, overhead_time) =
@@ -649,17 +512,17 @@ impl Engine {
                         local,
                         hierarchy.spec().data_sharing,
                         &w,
-                        &mut ledgers,
+                        &mut breakdown,
                     );
                     let processing = accounting::onchip_processing(
                         hierarchy.edge(),
                         local,
                         &self.pu,
                         &w,
-                        &mut ledgers,
+                        &mut breakdown,
                     );
                     let overhead = match hierarchy.router() {
-                        Some(router) => accounting::router_overhead(router, &w, &mut ledgers),
+                        Some(router) => accounting::router_overhead(router, &w, &mut breakdown),
                         None => Time::ZERO,
                     };
                     (traffic.loading, traffic.updating, processing, overhead)
@@ -671,12 +534,12 @@ impl Engine {
                         hierarchy.global_vertex(),
                         &self.pu,
                         &w,
-                        &mut ledgers,
+                        &mut breakdown,
                     );
                     (Time::ZERO, Time::ZERO, processing, Time::ZERO)
                 }
             };
-        edge.commit(&w, &mut ledgers);
+        edge.commit(&w, &mut breakdown);
 
         // ---- iteration time & scaling ------------------------------------
         // Loading is double-buffered against processing: the controller
@@ -692,17 +555,17 @@ impl Engine {
             updating: updating_time * iters,
             overhead: overhead_time * iters,
         };
-        accounting::scale_by_iterations(&mut ledgers, iterations);
+        breakdown.scale_by_iterations(iterations);
 
         let mut total_time = iteration_time * iters;
         // Reliability pass (only when the session's fault plan is active):
-        // interprets the plan against the run-total ledgers, single-threaded
+        // interprets the plan against the run-total counters, single-threaded
         // from the plan's seed — outcomes are identical across execution
         // strategies by construction. Corrections, retry backoff and remap
         // re-streams expose serially, extending overhead and the leakage
         // window.
         let reliability = hierarchy.resilience().map(|model| {
-            let outcome = accounting::reliability(model, hierarchy, &w, iterations, &mut ledgers);
+            let outcome = accounting::reliability(model, hierarchy, &w, iterations, &mut breakdown);
             phases.overhead += outcome.exposed_time;
             total_time += outcome.exposed_time;
             outcome.report
@@ -713,7 +576,7 @@ impl Engine {
             total_time,
             iterations,
             &w,
-            &mut ledgers,
+            &mut breakdown,
         );
 
         RunReport {
@@ -723,7 +586,7 @@ impl Engine {
             edges_processed: w.ne * w.traversal_factor * u64::from(iterations),
             intervals: w.p,
             phases,
-            breakdown: ledgers.into_breakdown(),
+            breakdown,
             reliability,
         }
     }
@@ -732,23 +595,34 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
+    use crate::exec::ExecutionStrategy;
+    use crate::trace::SharedRecorder;
     use hyve_algorithms::{reference, Bfs, ConnectedComponents, PageRank, SpMv, Sssp};
-    use hyve_graph::{Csr, DatasetProfile, Edge};
+    use hyve_graph::{Csr, DatasetProfile, Edge, EdgeList};
+    use hyve_memsim::FaultPlan;
 
     fn small_graph() -> EdgeList {
         DatasetProfile::youtube_scaled().generate(11)
     }
 
-    /// Test shorthand: sessions own engine construction in the public API.
-    fn engine_for(cfg: SystemConfig) -> Engine {
-        Engine::try_new(cfg).unwrap()
+    /// Test shorthand: a sequential, untraced, fault-free session.
+    fn session_for(cfg: SystemConfig) -> SimulationSession {
+        SimulationSession::builder(cfg).build().unwrap()
+    }
+
+    fn faulty_session(cfg: SystemConfig, plan: FaultPlan) -> SimulationSession {
+        SimulationSession::builder(cfg)
+            .with_faults(plan)
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn pagerank_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve_opt());
-        let (_, values) = engine
+        let session = session_for(SystemConfig::hyve_opt());
+        let (_, values) = session
             .run_on_edge_list_with_values(&PageRank::new(5), &g)
             .unwrap();
         let csr = Csr::from_edge_list(&g);
@@ -761,9 +635,9 @@ mod tests {
     #[test]
     fn bfs_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve());
+        let session = session_for(SystemConfig::hyve());
         let src = VertexId::new(0);
-        let (_, values) = engine
+        let (_, values) = session
             .run_on_edge_list_with_values(&Bfs::new(src), &g)
             .unwrap();
         let csr = Csr::from_edge_list(&g);
@@ -773,8 +647,8 @@ mod tests {
     #[test]
     fn cc_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve_opt());
-        let (_, values) = engine
+        let session = session_for(SystemConfig::hyve_opt());
+        let (_, values) = session
             .run_on_edge_list_with_values(&ConnectedComponents::new(), &g)
             .unwrap();
         assert_eq!(values, reference::connected_components(&g));
@@ -783,9 +657,9 @@ mod tests {
     #[test]
     fn sssp_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve_opt());
+        let session = session_for(SystemConfig::hyve_opt());
         let src = VertexId::new(1);
-        let (_, values) = engine
+        let (_, values) = session
             .run_on_edge_list_with_values(&Sssp::new(src), &g)
             .unwrap();
         let csr = Csr::from_edge_list(&g);
@@ -802,9 +676,9 @@ mod tests {
     #[test]
     fn spmv_matches_reference() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::acc_sram_dram());
+        let session = session_for(SystemConfig::acc_sram_dram());
         let spmv = SpMv::new();
-        let (_, values) = engine.run_on_edge_list_with_values(&spmv, &g).unwrap();
+        let (_, values) = session.run_on_edge_list_with_values(&spmv, &g).unwrap();
         let x: Vec<f32> = (0..g.num_vertices())
             .map(|v| spmv.input(VertexId::new(v)))
             .collect();
@@ -824,8 +698,8 @@ mod tests {
             SystemConfig::hyve(),
             SystemConfig::hyve_opt(),
         ] {
-            let engine = engine_for(cfg);
-            let report = engine.run_on_edge_list(&PageRank::new(3), &g).unwrap();
+            let session = session_for(cfg);
+            let report = session.run_on_edge_list(&PageRank::new(3), &g).unwrap();
             assert!(report.energy().as_pj() > 0.0, "{}", report.config);
             assert!(report.elapsed().as_ns() > 0.0);
             assert!(report.mteps_per_watt() > 0.0);
@@ -837,7 +711,7 @@ mod tests {
         // The headline Fig. 16 ordering.
         let g = small_graph();
         let eff = |cfg: SystemConfig| {
-            engine_for(cfg)
+            session_for(cfg)
                 .run_on_edge_list(&PageRank::new(5), &g)
                 .unwrap()
                 .mteps_per_watt()
@@ -854,10 +728,10 @@ mod tests {
     #[test]
     fn data_sharing_reduces_offchip_reads() {
         let g = small_graph();
-        let base = engine_for(SystemConfig::hyve().with_data_sharing(false))
+        let base = session_for(SystemConfig::hyve().with_data_sharing(false))
             .run_on_edge_list(&PageRank::new(3), &g)
             .unwrap();
-        let shared = engine_for(SystemConfig::hyve())
+        let shared = session_for(SystemConfig::hyve())
             .run_on_edge_list(&PageRank::new(3), &g)
             .unwrap();
         assert!(
@@ -868,10 +742,10 @@ mod tests {
     #[test]
     fn power_gating_cuts_edge_background() {
         let g = small_graph();
-        let base = engine_for(SystemConfig::hyve())
+        let base = session_for(SystemConfig::hyve())
             .run_on_edge_list(&PageRank::new(3), &g)
             .unwrap();
-        let gated = engine_for(SystemConfig::hyve().with_power_gating(true))
+        let gated = session_for(SystemConfig::hyve().with_power_gating(true))
             .run_on_edge_list(&PageRank::new(3), &g)
             .unwrap();
         assert!(
@@ -885,16 +759,16 @@ mod tests {
         // Use scale 1 so the arithmetic is direct: 2 MB SRAM, PR needs
         // 16 bytes/vertex resident (64-bit value × 2 states);
         // 2·8·nv·16 ≤ 2 MB ⇒ nv ≤ 8192 for P = 8.
-        let engine = engine_for(SystemConfig::hyve_opt().with_dataset_scale(1));
+        let session = session_for(SystemConfig::hyve_opt().with_dataset_scale(1));
         let pr = PageRank::new(1);
-        assert_eq!(engine.plan_intervals(&pr, 8_000), 8);
-        let p = engine.plan_intervals(&pr, 100_000);
+        assert_eq!(session.plan_intervals(&pr, 8_000), 8);
+        let p = session.plan_intervals(&pr, 100_000);
         assert!(p > 8 && p.is_multiple_of(8), "got {p}");
         // The dataset scale shrinks the effective SRAM, raising P.
-        let scaled = engine_for(SystemConfig::hyve_opt().with_dataset_scale(64));
+        let scaled = session_for(SystemConfig::hyve_opt().with_dataset_scale(64));
         assert!(scaled.plan_intervals(&pr, 8_000) > 8);
         // No SRAM: P = N.
-        let raw = engine_for(SystemConfig::acc_dram());
+        let raw = session_for(SystemConfig::acc_dram());
         assert_eq!(raw.plan_intervals(&pr, 100_000), 8);
     }
 
@@ -902,15 +776,15 @@ mod tests {
     fn run_rejects_mismatched_grid() {
         let g = small_graph();
         let grid = GridGraph::partition(&g, 3).unwrap(); // not divisible by 8
-        let engine = engine_for(SystemConfig::hyve());
+        let session = session_for(SystemConfig::hyve());
         assert!(matches!(
-            engine.run(&PageRank::new(1), &grid),
+            session.run(&PageRank::new(1), &grid),
             Err(CoreError::Unschedulable { .. })
         ));
     }
 
-    fn unschedulable_message(engine: &Engine, grid: &GridGraph) -> String {
-        match engine.run(&PageRank::new(1), grid) {
+    fn unschedulable_message(session: &SimulationSession, grid: &GridGraph) -> String {
+        match session.run(&PageRank::new(1), grid) {
             Err(CoreError::Unschedulable { message }) => message,
             other => panic!("expected Unschedulable, got {other:?}"),
         }
@@ -919,10 +793,10 @@ mod tests {
     #[test]
     fn too_few_intervals_reports_the_shortage() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve()); // 8 PUs
+        let session = session_for(SystemConfig::hyve()); // 8 PUs
         let grid = GridGraph::partition(&g, 4).unwrap();
         assert_eq!(
-            unschedulable_message(&engine, &grid),
+            unschedulable_message(&session, &grid),
             "4 intervals < 8 processing units"
         );
     }
@@ -930,10 +804,10 @@ mod tests {
     #[test]
     fn indivisible_intervals_report_the_divisibility() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve()); // 8 PUs
+        let session = session_for(SystemConfig::hyve()); // 8 PUs
         let grid = GridGraph::partition(&g, 12).unwrap();
         assert_eq!(
-            unschedulable_message(&engine, &grid),
+            unschedulable_message(&session, &grid),
             "12 intervals not divisible by 8 processing units"
         );
     }
@@ -941,22 +815,37 @@ mod tests {
     #[test]
     fn skipping_off_matches_skipping_on_bit_for_bit() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve_opt());
         let grid = GridGraph::partition(&g, 16).unwrap();
-        for threads in [0usize, 3] {
-            let strategy = match threads {
-                0 => ExecutionStrategy::Sequential,
-                t => ExecutionStrategy::Parallel { threads: t },
+        for strategy in [
+            ExecutionStrategy::Sequential,
+            ExecutionStrategy::Parallel { threads: 3 },
+        ] {
+            let run = |skip: bool| {
+                let recorder = SharedRecorder::new();
+                let (report, values) = SimulationSession::builder(SystemConfig::hyve_opt())
+                    .strategy(strategy)
+                    .dirty_interval_skipping(skip)
+                    .with_trace(recorder.clone())
+                    .build()
+                    .unwrap()
+                    .run_with_values(&Sssp::new(VertexId::new(0)), &grid)
+                    .unwrap();
+                // Skipping changes the block counters by design; the
+                // iteration structure must not move.
+                let changed: Vec<(u32, bool)> = recorder
+                    .artifact()
+                    .iterations
+                    .iter()
+                    .map(|it| (it.iteration, it.changed))
+                    .collect();
+                (report, values, changed)
             };
-            let (fast_report, fast_values, fast_trace) = engine
-                .run_traced(&Sssp::new(VertexId::new(0)), &grid, strategy, true, None)
-                .unwrap();
-            let (full_report, full_values, full_trace) = engine
-                .run_traced(&Sssp::new(VertexId::new(0)), &grid, strategy, false, None)
-                .unwrap();
+            let (fast_report, fast_values, fast_changed) = run(true);
+            let (full_report, full_values, full_changed) = run(false);
             assert_eq!(fast_report, full_report);
             assert_eq!(fast_values, full_values);
-            assert_eq!(fast_trace, full_trace);
+            assert_eq!(fast_changed, full_changed);
+            assert_eq!(fast_changed.len() as u32, fast_report.iterations);
         }
     }
 
@@ -977,8 +866,8 @@ mod tests {
         // error, and the partial report it carries still shows the doubled
         // (undirected) traversal count for that one iteration.
         let g = EdgeList::from_edges(16, (0..15).map(|i| Edge::new(i, i + 1))).unwrap();
-        let engine = engine_for(SystemConfig::hyve().with_num_pus(2));
-        match engine.run_on_edge_list(&ConnectedComponents::new().with_max_iterations(1), &g) {
+        let session = session_for(SystemConfig::hyve().with_num_pus(2));
+        match session.run_on_edge_list(&ConnectedComponents::new().with_max_iterations(1), &g) {
             Err(CoreError::MaxIterationsExceeded {
                 algorithm,
                 max_iterations,
@@ -997,8 +886,8 @@ mod tests {
     fn converged_runs_do_not_raise_max_iterations() {
         // With enough headroom the same program converges and returns Ok.
         let g = EdgeList::from_edges(16, (0..15).map(|i| Edge::new(i, i + 1))).unwrap();
-        let engine = engine_for(SystemConfig::hyve().with_num_pus(2));
-        let cc = engine
+        let session = session_for(SystemConfig::hyve().with_num_pus(2));
+        let cc = session
             .run_on_edge_list(&ConnectedComponents::new(), &g)
             .unwrap();
         assert!(cc.iterations > 1);
@@ -1007,9 +896,9 @@ mod tests {
     #[test]
     fn preprocessing_is_one_shot_and_write_dominated() {
         let g = small_graph();
-        let engine = engine_for(SystemConfig::hyve());
+        let session = session_for(SystemConfig::hyve());
         let grid = GridGraph::partition(&g, 8).unwrap();
-        let pre = engine
+        let pre = session
             .preprocessing_report(&PageRank::new(10), &grid)
             .unwrap();
         assert_eq!(pre.edge_bits, grid.edge_storage_bits());
@@ -1018,7 +907,7 @@ mod tests {
         // ReRAM's slow writes: preprocessing on HyVE takes longer than on
         // the all-DRAM hierarchy, but costs less energy per bit is not
         // required — only the latency asymmetry is structural.
-        let dram_pre = engine_for(SystemConfig::acc_dram())
+        let dram_pre = session_for(SystemConfig::acc_dram())
             .preprocessing_report(&PageRank::new(10), &grid)
             .unwrap();
         assert!(
@@ -1032,7 +921,7 @@ mod tests {
     #[test]
     fn report_has_consistent_breakdown() {
         let g = small_graph();
-        let report = engine_for(SystemConfig::hyve_opt())
+        let report = session_for(SystemConfig::hyve_opt())
             .run_on_edge_list(&PageRank::new(2), &g)
             .unwrap();
         let b = &report.breakdown;
@@ -1048,18 +937,18 @@ mod tests {
     fn devices_constructed_once_per_session_not_per_run() {
         let g = small_graph();
         let before = crate::hierarchy::device_constructions();
-        let engine = engine_for(SystemConfig::hyve_opt());
+        let session = session_for(SystemConfig::hyve_opt());
         let built = crate::hierarchy::device_constructions();
         // hyve_opt has three channels: edge ReRAM, global DRAM, local SRAM.
         assert_eq!(built - before, 3);
 
         // Repeated runs and preprocessing reports reuse the same instance.
-        engine.run_on_edge_list(&PageRank::new(2), &g).unwrap();
-        engine
+        session.run_on_edge_list(&PageRank::new(2), &g).unwrap();
+        session
             .run_on_edge_list(&Bfs::new(VertexId::new(0)), &g)
             .unwrap();
         let grid = GridGraph::partition(&g, 8).unwrap();
-        engine
+        session
             .preprocessing_report(&PageRank::new(1), &grid)
             .unwrap();
         assert_eq!(crate::hierarchy::device_constructions(), built);
@@ -1069,23 +958,22 @@ mod tests {
     fn fault_runs_report_reliability_and_stay_seed_deterministic() {
         let g = small_graph();
         let plan = FaultPlan::parse("seed=2018,reram-ber=1e-5,dram-ber=1e-9,ecc=secded").unwrap();
-        let engine = Engine::try_new_with_faults(SystemConfig::hyve_opt(), plan.clone()).unwrap();
-        let a = engine.run_on_edge_list(&PageRank::new(5), &g).unwrap();
+        let a = faulty_session(SystemConfig::hyve_opt(), plan.clone())
+            .run_on_edge_list(&PageRank::new(5), &g)
+            .unwrap();
         let rel = a.reliability.as_ref().expect("active plan reports");
         assert!(rel.corrected > 0, "1e-5 BER over the edge stream corrects");
         assert!(rel.remaps.is_empty(), "no persistent faults configured");
-        // Same seed, fresh engine: bit-identical outcome.
-        let again = Engine::try_new_with_faults(SystemConfig::hyve_opt(), plan)
-            .unwrap()
+        // Same seed, fresh session: bit-identical outcome.
+        let again = faulty_session(SystemConfig::hyve_opt(), plan)
             .run_on_edge_list(&PageRank::new(5), &g)
             .unwrap();
         assert_eq!(a, again);
         // Different seed: the report may differ, the run still completes.
-        let other = Engine::try_new_with_faults(
+        let other = faulty_session(
             SystemConfig::hyve_opt(),
             FaultPlan::parse("seed=7,reram-ber=1e-5,dram-ber=1e-9,ecc=secded").unwrap(),
         )
-        .unwrap()
         .run_on_edge_list(&PageRank::new(5), &g)
         .unwrap();
         assert!(other.reliability.is_some());
@@ -1095,14 +983,15 @@ mod tests {
     fn stuck_bank_run_completes_degraded_via_sparing() {
         let g = small_graph();
         let plan = FaultPlan::parse("seed=1,stuck-bank=0:3,stuck-bank=2:1").unwrap();
-        let faulty = Engine::try_new_with_faults(SystemConfig::hyve(), plan).unwrap();
-        let report = faulty.run_on_edge_list(&PageRank::new(3), &g).unwrap();
+        let report = faulty_session(SystemConfig::hyve(), plan)
+            .run_on_edge_list(&PageRank::new(3), &g)
+            .unwrap();
         let rel = report.reliability.as_ref().expect("plan is active");
         assert_eq!(rel.remaps.len(), 2, "both stuck banks spared");
         assert_eq!((rel.remaps[0].chip, rel.remaps[0].bank), (0, 3));
         assert!(rel.degraded_fraction > 0.0);
         // Degradation costs extra edge transfers relative to a clean run.
-        let clean = engine_for(SystemConfig::hyve())
+        let clean = session_for(SystemConfig::hyve())
             .run_on_edge_list(&PageRank::new(3), &g)
             .unwrap();
         assert!(clean.reliability.is_none());

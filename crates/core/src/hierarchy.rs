@@ -17,10 +17,11 @@
 //!   model, the per-channel cost memos ([`OpCosts`]), the inter-PU router
 //!   (§4.2) and the edge-channel power-gating controller (§4.1) exactly
 //!   once. Runs and sweeps borrow the instance read-only.
-//! * **ledgers** — each run opens a fresh [`Ledgers`] value (one
-//!   [`AccessStats`] per channel plus logic); the phase-level accounting
-//!   passes in the crate-private `accounting` module write into it, and it
-//!   closes into the report's [`EnergyBreakdown`].
+//! * **accounting** — each run opens a fresh
+//!   [`EnergyBreakdown`](crate::EnergyBreakdown) (one access-stats record
+//!   per channel plus logic); the phase-level accounting passes in the
+//!   crate-private `accounting` module write straight into it, and it
+//!   becomes the report's breakdown.
 //!
 //! Adding a hierarchy variant means adding a [`DeviceSpec`] arm and a
 //! lowering rule — not editing the engine.
@@ -29,11 +30,9 @@ use crate::config::{EdgeMemoryKind, SystemConfig, VertexMemoryKind};
 use crate::controller::{AddressMap, ResilienceModel};
 use crate::error::CoreError;
 use crate::router::Router;
-use crate::stats::EnergyBreakdown;
 use hyve_memsim::{
-    AccessStats, BankPowerGating, DramChip, DramChipConfig, EccProfile, Energy, FaultPlan,
-    MemoryDevice, Power, PowerGatingConfig, RegisterFile, ReramChip, ReramChipConfig, SramArray,
-    SramConfig, Time,
+    BankPowerGating, DramChip, DramChipConfig, EccProfile, Energy, FaultPlan, MemoryDevice, Power,
+    PowerGatingConfig, RegisterFile, ReramChip, ReramChipConfig, SramArray, SramConfig, Time,
 };
 use std::cell::Cell;
 use std::fmt;
@@ -337,7 +336,7 @@ impl OpCosts {
 ///
 /// Channels are built once per session by [`HierarchyInstance::build`] and
 /// borrowed read-only by every run; per-run access counts accumulate in
-/// [`Ledgers`], not here.
+/// the run's [`EnergyBreakdown`](crate::EnergyBreakdown), not here.
 #[derive(Debug, Clone)]
 pub struct Channel {
     role: ChannelRole,
@@ -569,39 +568,6 @@ impl HierarchyInstance {
     pub fn controller_power(&self) -> Power {
         CONTROLLER_POWER
     }
-
-    /// Opens a fresh set of per-channel ledgers for one run.
-    pub fn ledgers(&self) -> Ledgers {
-        Ledgers::default()
-    }
-}
-
-/// Per-run access ledgers, one [`AccessStats`] per hierarchy channel plus
-/// the logic block. Accounting passes accumulate into these; the order of
-/// `record_*` calls per channel is part of the bit-exactness contract
-/// (float accumulation is order-sensitive).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Ledgers {
-    /// Edge-stream channel ledger.
-    pub edge: AccessStats,
-    /// Off-chip global vertex ledger.
-    pub global_vertex: AccessStats,
-    /// On-chip local vertex ledger (untouched when the tier is absent).
-    pub local_vertex: AccessStats,
-    /// Processing units, router and controller.
-    pub logic: AccessStats,
-}
-
-impl Ledgers {
-    /// Closes the ledgers into the report's energy breakdown.
-    pub fn into_breakdown(self) -> EnergyBreakdown {
-        EnergyBreakdown {
-            edge_memory: self.edge,
-            offchip_vertex: self.global_vertex,
-            onchip_vertex: self.local_vertex,
-            logic: self.logic,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -771,15 +737,5 @@ mod tests {
             HierarchyInstance::build(spec),
             Err(CoreError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn ledgers_close_into_breakdown_fields() {
-        let mut l = Ledgers::default();
-        l.edge.record_read(64, Energy::from_pj(1.0), Time::ZERO);
-        l.logic.record_background(Energy::from_pj(2.0));
-        let b = l.into_breakdown();
-        assert_eq!(b.edge_memory.bits_read, 64);
-        assert_eq!(b.logic.background_energy, Energy::from_pj(2.0));
     }
 }

@@ -8,15 +8,15 @@
 //!   HyVE-opt; Fig. 16),
 //! * [`HierarchySpec`] / [`HierarchyInstance`] — the declarative memory
 //!   hierarchy a configuration lowers into, and its fully-constructed
-//!   channel set (device models built **once** per session, per-channel
-//!   [`Ledgers`] accumulated by the accounting passes),
-//! * [`SimulationSession`] — the validated entry point: a builder that
-//!   checks the configuration once, constructs the hierarchy, and selects
-//!   an [`ExecutionStrategy`] (sequential, or a deterministic thread
-//!   fan-out over PUs and sweeps), driving a crate-private engine that
-//!   simulates Algorithm 2's super-block scheduling (loading / assigning /
-//!   rerouting / processing / synchronizing / updating), with per-edge
-//!   pipelining per Eq. (1),
+//!   channel set (device models built **once** per session; the
+//!   accounting passes write each run's [`EnergyBreakdown`]),
+//! * [`SimulationSession`] — the simulator: a builder that checks the
+//!   configuration once, constructs the hierarchy, and selects an
+//!   [`ExecutionStrategy`] (sequential, or a deterministic thread fan-out
+//!   over PUs and sweeps); the session then simulates Algorithm 2's
+//!   super-block scheduling (loading / assigning / rerouting / processing /
+//!   synchronizing / updating, see [`engine`]), with per-edge pipelining
+//!   per Eq. (1),
 //! * [`Router`] — the N×N pipelined router that implements inter-PU data
 //!   sharing (§4.2, Fig. 7),
 //! * bank-level power gating of the nonvolatile edge memory (§4.1),
@@ -75,14 +75,14 @@ pub use engine::PreprocessingReport;
 pub use error::CoreError;
 pub use exec::ExecutionStrategy;
 pub use hierarchy::{
-    Channel, ChannelRole, ChannelSpec, DeviceSpec, HierarchyInstance, HierarchySpec, Ledgers,
+    Channel, ChannelRole, ChannelSpec, DeviceSpec, HierarchyInstance, HierarchySpec,
 };
 pub use hyve_memsim::{EccProfile, FaultPlan};
 pub use pu::ProcessingUnit;
 pub use router::Router;
 pub use schedule::{Assignment, SuperBlockSchedule};
 pub use session::{SessionBuilder, SimulationSession};
-pub use stats::{EnergyBreakdown, PhaseTimes, ReliabilityReport, RunReport, RunTrace};
+pub use stats::{EnergyBreakdown, PhaseTimes, ReliabilityReport, RunReport};
 pub use trace::{
     MetricsRecorder, ReliabilityTotals, SharedRecorder, SharedSink, TraceArtifact, TraceChannel,
     TraceDiff, TraceEvent, TraceSink,

@@ -1,12 +1,13 @@
 //! The public entry point to the simulator: a validated, strategy-aware
 //! session.
 //!
-//! [`SimulationSession`] replaces direct engine construction. The builder
+//! [`SimulationSession`] is the simulator: it runs Algorithm 2 (see
+//! [`crate::engine`]) over the memory hierarchy it owns. The builder
 //! validates the [`SystemConfig`] **once, at build time**, lowers it into a
-//! [`HierarchySpec`](crate::HierarchySpec) and constructs every device
-//! model of the resulting [`HierarchyInstance`] exactly once — every later
-//! run borrows the same instance and no construction path panics — and
-//! selects an [`ExecutionStrategy`]:
+//! [`HierarchySpec`] and constructs every device model of the resulting
+//! [`HierarchyInstance`] exactly once — every later run borrows the same
+//! instance and no construction path panics — and selects an
+//! [`ExecutionStrategy`]:
 //!
 //! ```
 //! use hyve_core::{ExecutionStrategy, SimulationSession, SystemConfig};
@@ -30,11 +31,11 @@
 //! [`crate::exec`] for the reduction argument).
 
 use crate::config::SystemConfig;
-use crate::engine::{Engine, PreprocessingReport};
 use crate::error::CoreError;
 use crate::exec::{fan_out, ExecutionStrategy};
-use crate::hierarchy::HierarchyInstance;
-use crate::stats::{RunReport, RunTrace};
+use crate::hierarchy::{HierarchyInstance, HierarchySpec};
+use crate::pu::ProcessingUnit;
+use crate::stats::RunReport;
 use crate::trace::{SharedSink, TraceSink};
 use hyve_algorithms::EdgeProgram;
 use hyve_graph::{EdgeList, GridGraph};
@@ -82,7 +83,7 @@ impl SessionBuilder {
     /// Pass a [`SharedRecorder`](crate::SharedRecorder) clone to collect a
     /// [`TraceArtifact`](crate::TraceArtifact) you can read back after the
     /// run. [`sweep`](SimulationSession::sweep) runs stay untraced — a
-    /// sweep point builds its own engine per configuration.
+    /// sweep point builds its own session per configuration.
     pub fn with_trace(mut self, sink: impl TraceSink + 'static) -> Self {
         self.sink = Some(SharedSink::new(sink));
         self
@@ -115,24 +116,31 @@ impl SessionBuilder {
         self.strategy(ExecutionStrategy::Sequential)
     }
 
-    /// Validates the configuration and strategy and builds the session.
+    /// Validates the configuration and strategy, lowers the configuration
+    /// into a [`HierarchySpec`] carrying the fault plan, and constructs
+    /// every device model of the hierarchy once.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when the [`SystemConfig`] fails
     /// [`SystemConfig::validate`], the [`FaultPlan`] fails
-    /// [`FaultPlan::validate`], or a parallel strategy requests zero
-    /// threads. This is the single validation point: sessions never panic
-    /// on construction input.
+    /// [`FaultPlan::validate`], device-model construction fails, or a
+    /// parallel strategy requests zero threads. This is the single
+    /// validation point: sessions never panic on construction input.
     pub fn build(self) -> Result<SimulationSession, CoreError> {
-        let engine = Engine::try_new_with_faults(self.config, self.faults)?;
+        self.config.validate()?;
+        let mut spec = HierarchySpec::lower(&self.config);
+        spec.faults = self.faults;
+        let hierarchy = HierarchyInstance::build(spec)?;
         if let ExecutionStrategy::Parallel { threads: 0 } = self.strategy {
             return Err(CoreError::InvalidConfig {
                 message: "parallel execution needs at least one thread".into(),
             });
         }
         Ok(SimulationSession {
-            engine,
+            config: self.config,
+            hierarchy,
+            pu: ProcessingUnit::new(),
             strategy: self.strategy,
             dirty_skipping: self.dirty_skipping,
             sink: self.sink,
@@ -140,16 +148,22 @@ impl SessionBuilder {
     }
 }
 
-/// A validated simulation session over one [`SystemConfig`].
+/// A validated simulation session over one [`SystemConfig`]: the
+/// configuration, the memory hierarchy built from it, the processing-unit
+/// model, and how runs execute and report.
 ///
 /// See the [module docs](self) for the builder workflow and the determinism
-/// guarantee.
+/// guarantee, and [`crate::engine`] for the Algorithm 2 run itself.
 #[derive(Debug, Clone)]
 pub struct SimulationSession {
-    engine: Engine,
-    strategy: ExecutionStrategy,
-    dirty_skipping: bool,
-    sink: Option<SharedSink>,
+    pub(crate) config: SystemConfig,
+    pub(crate) hierarchy: HierarchyInstance,
+    pub(crate) pu: ProcessingUnit,
+    pub(crate) strategy: ExecutionStrategy,
+    /// Dirty-interval skipping for monotone programs (a pure optimisation:
+    /// results are bit-identical either way).
+    pub(crate) dirty_skipping: bool,
+    pub(crate) sink: Option<SharedSink>,
 }
 
 impl SimulationSession {
@@ -166,7 +180,7 @@ impl SimulationSession {
 
     /// The session's configuration.
     pub fn config(&self) -> &SystemConfig {
-        self.engine.config()
+        &self.config
     }
 
     /// The session's execution strategy.
@@ -178,64 +192,21 @@ impl SimulationSession {
     /// model was constructed once at [`build`](SessionBuilder::build) time
     /// and is reused by every run of this session.
     pub fn hierarchy(&self) -> &HierarchyInstance {
-        self.engine.hierarchy()
+        &self.hierarchy
     }
 
-    /// Picks the interval count `P` for a graph: the smallest multiple of
-    /// the PU count such that `2·N` intervals fit in on-chip memory
-    /// (configurations without on-chip vertex memory use `P = N`).
-    pub fn plan_intervals<P: EdgeProgram>(&self, program: &P, num_vertices: u32) -> u32 {
-        self.engine.plan_intervals(program, num_vertices)
-    }
-
-    /// Runs over an existing grid.
+    /// Like [`run_with_values`](Self::run_with_values), returning only the
+    /// report.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unschedulable`] when the grid's interval count is not a
-    /// positive multiple of the PU count.
+    /// Same as [`run_with_values`](Self::run_with_values).
     pub fn run<P: EdgeProgram>(
         &self,
         program: &P,
         grid: &GridGraph,
     ) -> Result<RunReport, CoreError> {
         self.run_with_values(program, grid).map(|(r, _)| r)
-    }
-
-    /// Like [`run`](Self::run), also returning final vertex values.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_with_values<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
-        self.run_with_trace(program, grid)
-            .map(|(report, values, _)| (report, values))
-    }
-
-    /// Like [`run_with_values`](Self::run_with_values), also returning the
-    /// per-iteration [`RunTrace`] — the handle equivalence tests use to
-    /// assert that engine optimisations leave the iteration structure (not
-    /// just the final values) untouched.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Self::run).
-    pub fn run_with_trace<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<(RunReport, Vec<P::Value>, RunTrace), CoreError> {
-        self.engine.run_traced(
-            program,
-            grid,
-            self.strategy,
-            self.dirty_skipping,
-            self.sink.as_ref(),
-        )
     }
 
     /// Partitions the edge list with the planned interval count and runs.
@@ -263,22 +234,9 @@ impl SimulationSession {
         program: &P,
         graph: &EdgeList,
     ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
-        let p = self.engine.plan_intervals(program, graph.num_vertices());
+        let p = self.plan_intervals(program, graph.num_vertices());
         let grid = GridGraph::partition(graph, p)?;
         self.run_with_values(program, &grid)
-    }
-
-    /// Cost of the one-shot initialization write (§3.1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device-model errors.
-    pub fn preprocessing_report<P: EdgeProgram>(
-        &self,
-        program: &P,
-        grid: &GridGraph,
-    ) -> Result<PreprocessingReport, CoreError> {
-        self.engine.preprocessing_report(program, grid)
     }
 
     /// Runs `program` on `graph` under every configuration in `configs`,
@@ -301,21 +259,13 @@ impl SimulationSession {
     ) -> Result<Vec<RunReport>, CoreError> {
         let results: Vec<Result<RunReport, CoreError>> =
             fan_out(self.strategy, configs.len(), |i| {
-                let engine = Engine::try_new(configs[i].clone())?;
-                let p = engine.plan_intervals(program, graph.num_vertices());
-                let grid = GridGraph::partition(graph, p)?;
-                engine
-                    .run_traced(
-                        program,
-                        &grid,
-                        ExecutionStrategy::Sequential,
-                        self.dirty_skipping,
-                        // Sweep points stay untraced: each builds its own
-                        // engine, and interleaved event streams from
-                        // concurrent configurations would be unattributable.
-                        None,
-                    )
-                    .map(|(report, _, _)| report)
+                // Sweep points run sequentially, fault-free and untraced:
+                // interleaved event streams from concurrent configurations
+                // would be unattributable.
+                SimulationSession::builder(configs[i].clone())
+                    .dirty_interval_skipping(self.dirty_skipping)
+                    .build()?
+                    .run_on_edge_list(program, graph)
             });
         results.into_iter().collect()
     }

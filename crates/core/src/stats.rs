@@ -43,6 +43,28 @@ impl EnergyBreakdown {
         }
         (self.edge_memory.total_energy() + self.vertex_memory()) / total
     }
+
+    /// Scales every component's dynamic counters by an iteration count:
+    /// access and bit counts, dynamic energy and busy time. Call it before
+    /// charging background energy, which accrues over the *total* runtime
+    /// and must not be scaled again. Counts multiply as integers, so they
+    /// stay exact past 2⁵³.
+    pub fn scale_by_iterations(&mut self, iterations: u32) {
+        let (n, x) = (u64::from(iterations), f64::from(iterations));
+        for stats in [
+            &mut self.edge_memory,
+            &mut self.offchip_vertex,
+            &mut self.onchip_vertex,
+            &mut self.logic,
+        ] {
+            stats.reads *= n;
+            stats.writes *= n;
+            stats.bits_read *= n;
+            stats.bits_written *= n;
+            stats.dynamic_energy *= x;
+            stats.busy_time *= x;
+        }
+    }
 }
 
 impl fmt::Display for EnergyBreakdown {
@@ -66,22 +88,6 @@ impl fmt::Display for EnergyBreakdown {
             pct(self.logic.total_energy()),
         )
     }
-}
-
-/// Per-iteration trace of the functional pass.
-///
-/// Exposed by
-/// [`SimulationSession::run_with_trace`](crate::SimulationSession::run_with_trace)
-/// so equivalence tests can assert that engine optimisations (dirty-interval
-/// skipping, scratch reuse) leave the iteration structure untouched, not
-/// just the final values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunTrace {
-    /// Iterations actually executed.
-    pub iterations: u32,
-    /// Whether each iteration changed at least one vertex value; one entry
-    /// per executed iteration.
-    pub changed: Vec<bool>,
 }
 
 /// Wall-clock time split across Algorithm 2's phases.

@@ -8,8 +8,8 @@
 //! engine should re-plan its partitioning, and rebuilds the execution grid
 //! on demand.
 
-use crate::engine::Engine;
 use crate::error::CoreError;
+use crate::session::SimulationSession;
 use crate::stats::RunReport;
 use hyve_algorithms::EdgeProgram;
 use hyve_graph::{DynamicGrid, EdgeList, GridGraph, Mutation, MutationOutcome};
@@ -33,7 +33,7 @@ use hyve_graph::{DynamicGrid, EdgeList, GridGraph, Mutation, MutationOutcome};
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkingFlow {
-    engine: Engine,
+    session: SimulationSession,
     dynamic: DynamicGrid,
     mutations_since_analysis: u64,
 }
@@ -50,11 +50,11 @@ impl WorkingFlow {
     ///
     /// Propagates configuration and partitioning errors.
     pub fn new(config: crate::config::SystemConfig, graph: &EdgeList) -> Result<Self, CoreError> {
-        let engine = Engine::try_new(config)?;
+        let session = SimulationSession::builder(config).build()?;
         let p = Self::ONLINE_INTERVALS.min(graph.num_vertices().max(1));
         let grid = GridGraph::partition(graph, p)?;
         Ok(WorkingFlow {
-            engine,
+            session,
             dynamic: DynamicGrid::new(grid, 0.30),
             mutations_since_analysis: 0,
         })
@@ -62,13 +62,13 @@ impl WorkingFlow {
 
     /// The flow's configuration.
     pub fn config(&self) -> &crate::config::SystemConfig {
-        self.engine.config()
+        self.session.config()
     }
 
     /// The memory hierarchy the configuration lowered into (constructed
     /// once, reused by every [`analyze`](Self::analyze) call).
     pub fn hierarchy(&self) -> &crate::hierarchy::HierarchyInstance {
-        self.engine.hierarchy()
+        self.session.hierarchy()
     }
 
     /// The online dynamic structure.
@@ -131,7 +131,7 @@ impl WorkingFlow {
     ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
         let live = self.dynamic.live_edge_list();
         self.mutations_since_analysis = 0;
-        self.engine.run_on_edge_list_with_values(program, &live)
+        self.session.run_on_edge_list_with_values(program, &live)
     }
 }
 

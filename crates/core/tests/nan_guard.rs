@@ -10,8 +10,8 @@
 //! immediately instead.
 
 use hyve_algorithms::{EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
-use hyve_core::{SimulationSession, SystemConfig};
-use hyve_graph::{Edge, EdgeList, VertexId};
+use hyve_core::{RunReport, SharedRecorder, SimulationSession, SystemConfig};
+use hyve_graph::{Edge, EdgeList, GridGraph, VertexId};
 
 const CAP: u32 = 40;
 
@@ -19,10 +19,23 @@ fn line_graph() -> EdgeList {
     EdgeList::from_edges(32, (0..31).map(|i| Edge::new(i, i + 1))).unwrap()
 }
 
-fn session() -> SimulationSession {
-    SimulationSession::builder(SystemConfig::hyve())
+/// Runs `program` over the 32-vertex line at P = 8 on a traced session,
+/// returning the report, the values and each iteration's `changed` flag.
+fn run<P: EdgeProgram>(program: &P) -> (RunReport, Vec<P::Value>, Vec<bool>) {
+    let recorder = SharedRecorder::new();
+    let (report, values) = SimulationSession::builder(SystemConfig::hyve())
+        .with_trace(recorder.clone())
         .build()
         .expect("preset configuration is valid")
+        .run_with_values(program, &GridGraph::partition(&line_graph(), 8).unwrap())
+        .unwrap();
+    let changed = recorder
+        .artifact()
+        .iterations
+        .iter()
+        .map(|it| it.changed)
+        .collect();
+    (report, values, changed)
 }
 
 /// A malformed monotone program: every scattered message is NaN, and its
@@ -105,28 +118,18 @@ impl EdgeProgram for NanAccumulate {
 
 #[test]
 fn nan_emitting_monotone_program_terminates_immediately() {
-    let (report, _, trace) = session()
-        .run_with_trace(
-            &NanMonotone,
-            &hyve_graph::GridGraph::partition(&line_graph(), 8).unwrap(),
-        )
-        .unwrap();
+    let (report, _, changed) = run(&NanMonotone);
     // Without the guard this spins to the 40-iteration cap; NaN messages
     // never register as change, so the run converges after one pass.
     assert_eq!(report.iterations, 1);
-    assert_eq!(trace.changed, vec![false]);
+    assert_eq!(changed, vec![false]);
 }
 
 #[test]
 fn nan_emitting_accumulate_program_terminates_immediately() {
-    let (report, values, trace) = session()
-        .run_with_trace(
-            &NanAccumulate,
-            &hyve_graph::GridGraph::partition(&line_graph(), 8).unwrap(),
-        )
-        .unwrap();
+    let (report, values, changed) = run(&NanAccumulate);
     assert_eq!(report.iterations, 1);
-    assert_eq!(trace.changed, vec![false]);
+    assert_eq!(changed, vec![false]);
     // The NaN still lands in the stored values — the guard only stops the
     // convergence spin, it does not sanitise program output.
     assert!(values.iter().all(|v| v.is_nan()));
@@ -136,15 +139,10 @@ fn nan_emitting_accumulate_program_terminates_immediately() {
 /// must not eat legitimate changes.
 #[test]
 fn guard_does_not_suppress_real_convergence() {
-    let g = line_graph();
-    let (report, values, trace) = session()
-        .run_with_trace(
-            &hyve_algorithms::Bfs::new(VertexId::new(0)),
-            &hyve_graph::GridGraph::partition(&g, 8).unwrap(),
-        )
-        .unwrap();
+    let (report, values, changed) = run(&hyve_algorithms::Bfs::new(VertexId::new(0)));
     assert!(report.iterations > 1);
-    assert!(trace.changed[0]);
-    assert!(!trace.changed[trace.changed.len() - 1]);
+    assert_eq!(changed.len() as u32, report.iterations);
+    assert!(changed[0]);
+    assert!(!changed[changed.len() - 1]);
     assert_eq!(values[31], 31);
 }

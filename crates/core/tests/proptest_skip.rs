@@ -1,9 +1,9 @@
 //! Equivalence suite for dirty-interval skipping: for every algorithm,
 //! partition scheme, direction and strategy, a session with skipping
 //! enabled produces **bit-identical** output to a full-rescan session —
-//! same values, same iteration count, same per-iteration `changed` flags,
-//! and a `RunReport` whose every float matches down to the IEEE-754 bit
-//! pattern.
+//! same values, same iteration count, same per-iteration `changed` flags
+//! (read from each session's trace recorder), and a `RunReport` whose every
+//! float matches down to the IEEE-754 bit pattern.
 //!
 //! This is the executable form of the idempotence argument in DESIGN.md: a
 //! clean, untouched interval re-sends exactly the messages it sent last
@@ -11,7 +11,7 @@
 //! message as a no-op.
 
 use hyve_algorithms::{Bfs, ConnectedComponents, EdgeProgram, PageRank, SpMv, Sssp};
-use hyve_core::{SimulationSession, SystemConfig};
+use hyve_core::{RunReport, SharedRecorder, SimulationSession, SystemConfig};
 use hyve_graph::{Edge, EdgeList, GridGraph, PartitionScheme, VertexId};
 use proptest::prelude::*;
 
@@ -40,28 +40,46 @@ fn arb_scheme() -> impl Strategy<Value = PartitionScheme> {
     })
 }
 
-/// `threads == 0` means the sequential strategy.
-fn build(skipping: bool, threads: usize) -> SimulationSession {
-    let builder =
-        SimulationSession::builder(SystemConfig::hyve()).dirty_interval_skipping(skipping);
+/// Runs `program` on a traced session and returns the report, the values
+/// and the per-iteration `(iteration, changed)` record. `threads == 0`
+/// means the sequential strategy.
+fn run<P: EdgeProgram>(
+    program: &P,
+    grid: &GridGraph,
+    skipping: bool,
+    threads: usize,
+) -> (RunReport, Vec<P::Value>, Vec<(u32, bool)>) {
+    let recorder = SharedRecorder::new();
+    let builder = SimulationSession::builder(SystemConfig::hyve())
+        .dirty_interval_skipping(skipping)
+        .with_trace(recorder.clone());
     let builder = if threads > 0 {
         builder.parallel(threads)
     } else {
         builder.sequential()
     };
-    builder.build().expect("preset configuration is valid")
+    let (report, values) = builder
+        .build()
+        .expect("preset configuration is valid")
+        .run_with_values(program, grid)
+        .expect("run failed");
+    // Only the iteration structure is compared: the block counters differ
+    // between skipping and full rescans by design.
+    let changed = recorder
+        .artifact()
+        .iterations
+        .iter()
+        .map(|it| (it.iteration, it.changed))
+        .collect();
+    (report, values, changed)
 }
 
 /// Runs `program` with skipping on and off and asserts every observable —
-/// report (field equality *and* float bit patterns), values, trace — is
-/// identical.
+/// report (field equality *and* float bit patterns), values, per-iteration
+/// `changed` flags — is identical.
 fn assert_skip_equals_full<P: EdgeProgram>(program: &P, grid: &GridGraph, threads: usize) {
-    let (full_report, full_values, full_trace) = build(false, threads)
-        .run_with_trace(program, grid)
-        .expect("full-rescan run failed");
-    let (skip_report, skip_values, skip_trace) = build(true, threads)
-        .run_with_trace(program, grid)
-        .expect("skipping run failed");
+    let (full_report, full_values, full_trace) = run(program, grid, false, threads);
+    let (skip_report, skip_values, skip_trace) = run(program, grid, true, threads);
     let name = program.name();
     assert_eq!(full_report, skip_report, "{name}: report drifted");
     assert_eq!(
@@ -75,6 +93,11 @@ fn assert_skip_equals_full<P: EdgeProgram>(program: &P, grid: &GridGraph, thread
         "{name}: elapsed bits drifted"
     );
     assert_eq!(full_trace, skip_trace, "{name}: iteration trace drifted");
+    assert_eq!(
+        full_trace.len() as u32,
+        full_report.iterations,
+        "{name}: one trace sample per iteration"
+    );
     // Debug formatting round-trips floats exactly, so string equality is
     // value-bit equality for every Value type (u32, f32, f64).
     assert_eq!(

@@ -28,6 +28,10 @@ pub struct DatasetProfile {
     pub original_edges: u64,
     /// R-MAT skew parameter `a` (larger ⇒ more skew).
     pub rmat_a: f64,
+    /// How many times smaller the profile is than the original (64, or 512
+    /// for TW). Simulations shrink on-chip memory by the same factor, so
+    /// the vertex-data : SRAM ratio matches the full-size experiment.
+    pub scale: u32,
 }
 
 impl DatasetProfile {
@@ -41,6 +45,7 @@ impl DatasetProfile {
             original_vertices: 1_160_000,
             original_edges: 2_990_000,
             rmat_a: 0.57,
+            scale: 64,
         }
     }
 
@@ -55,6 +60,7 @@ impl DatasetProfile {
             original_vertices: 2_390_000,
             original_edges: 5_020_000,
             rmat_a: 0.62,
+            scale: 64,
         }
     }
 
@@ -69,6 +75,7 @@ impl DatasetProfile {
             original_vertices: 1_690_000,
             original_edges: 11_100_000,
             rmat_a: 0.52,
+            scale: 64,
         }
     }
 
@@ -82,6 +89,7 @@ impl DatasetProfile {
             original_vertices: 4_850_000,
             original_edges: 69_000_000,
             rmat_a: 0.57,
+            scale: 64,
         }
     }
 
@@ -95,6 +103,7 @@ impl DatasetProfile {
             original_vertices: 41_700_000,
             original_edges: 1_470_000_000,
             rmat_a: 0.59,
+            scale: 512,
         }
     }
 
@@ -194,6 +203,16 @@ mod tests {
         let yt = DatasetProfile::youtube_scaled().generate(1);
         let wk = DatasetProfile::wiki_talk_scaled().generate(1);
         assert_ne!(yt.num_vertices(), wk.num_vertices());
+    }
+
+    #[test]
+    fn scale_matches_the_size_reduction() {
+        for p in DatasetProfile::all() {
+            let ratio = p.original_vertices as f64 / f64::from(p.vertices);
+            let rel = (ratio - f64::from(p.scale)).abs() / f64::from(p.scale);
+            assert!(rel < 0.01, "{}: ÷{ratio:.1} vs scale {}", p.tag, p.scale);
+        }
+        assert_eq!(DatasetProfile::twitter_scaled().scale, 512);
     }
 
     #[test]

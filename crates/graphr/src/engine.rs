@@ -8,14 +8,11 @@
 //! vertex values per block from the ReRAM global memory (Eq. 9).
 
 use hyve_algorithms::{run_in_memory, EdgeProgram, ExecutionMode, GraphMeta};
+use hyve_core::hierarchy::EDGE_CHANNEL_CHIPS;
 use hyve_core::{CoreError, EnergyBreakdown, PhaseTimes, RunReport};
 use hyve_graph::{block_sparsity, EdgeList, SparsityStats};
 use hyve_memsim::{MemoryDevice, RegisterFile, ReramChip, ReramChipConfig, Time};
 use hyve_model::CrossbarCosts;
-
-/// Chips provisioned on GraphR's (all-ReRAM) memory system, mirroring the
-/// HyVE engine's edge-channel provisioning for a fair background comparison.
-const MEMORY_CHIPS: u32 = 8;
 
 /// GraphR's block dimension: 8×8 vertices per crossbar.
 pub const BLOCK_DIM: u32 = 8;
@@ -39,6 +36,10 @@ pub struct GraphrEngine {
     costs: CrossbarCosts,
     /// Parallel graph engines (crossbar clusters) processing blocks.
     graph_engines: u32,
+    /// GraphR's all-ReRAM memory: global vertex and edge storage.
+    reram: ReramChip,
+    /// The per-engine register files holding block vertex values.
+    regfile: RegisterFile,
 }
 
 impl GraphrEngine {
@@ -48,6 +49,8 @@ impl GraphrEngine {
         GraphrEngine {
             costs: CrossbarCosts::default(),
             graph_engines: 8,
+            reram: ReramChip::new(ReramChipConfig::default()),
+            regfile: RegisterFile::default(),
         }
     }
 
@@ -121,11 +124,9 @@ impl GraphrEngine {
         let neb = sparsity.non_empty_blocks;
         let traversal_factor: u64 = if program.undirected() { 2 } else { 1 };
         let traversals = ne * traversal_factor;
-        let iters = f64::from(iterations);
         let value_bits = u64::from(program.value_bits().min(32)); // 16-bit ops, ≤1 word
 
-        let reram = ReramChip::new(ReramChipConfig::default());
-        let regfile = RegisterFile::default();
+        let (reram, regfile) = (&self.reram, &self.regfile);
         let mut breakdown = EnergyBreakdown::default();
 
         // ---- crossbar processing (Eq. 11–16), per iteration -------------
@@ -192,27 +193,16 @@ impl GraphrEngine {
         // Vertex traffic overlaps crossbar processing; writes dominate.
         let iteration_time = proc_time.max(vertex_time);
 
-        // Scale by iterations.
-        for stats in [
-            &mut breakdown.edge_memory,
-            &mut breakdown.offchip_vertex,
-            &mut breakdown.onchip_vertex,
-            &mut breakdown.logic,
-        ] {
-            stats.reads = (stats.reads as f64 * iters) as u64;
-            stats.writes = (stats.writes as f64 * iters) as u64;
-            stats.bits_read = (stats.bits_read as f64 * iters) as u64;
-            stats.bits_written = (stats.bits_written as f64 * iters) as u64;
-            stats.dynamic_energy *= iters;
-        }
-        let total_time = iteration_time * iters;
+        breakdown.scale_by_iterations(iterations);
+        let total_time = iteration_time * f64::from(iterations);
 
         // ---- background ----------------------------------------------------
         // GraphR cannot power-gate: crossbars hold live computation state
-        // and the access pattern hops across blocks.
-        breakdown
-            .edge_memory
-            .record_background(reram.background_power() * f64::from(MEMORY_CHIPS) * total_time);
+        // and the access pattern hops across blocks. Its memory has as many
+        // chips as HyVE's edge channel, for a fair background comparison.
+        breakdown.edge_memory.record_background(
+            reram.background_power() * f64::from(EDGE_CHANNEL_CHIPS) * total_time,
+        );
 
         RunReport {
             algorithm: program.name(),

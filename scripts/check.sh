@@ -40,6 +40,20 @@ trap 'rm -rf "$trace_dir"' EXIT
     exit 1
   }
 
+echo "==> experiment driver smoke (one named artifact; unknown names exit 2)"
+table3="$(cargo run -q -p hyve-bench --release --offline --bin all_experiments -- table3)"
+grep -q "energy-optimized 512 bits" <<<"$table3" || {
+    echo "all_experiments table3 did not print the chosen bank config" >&2
+    exit 1
+  }
+status=0
+cargo run -q -p hyve-bench --release --offline --bin all_experiments -- no-such-artifact \
+  2>/dev/null || status=$?
+[ "$status" -eq 2 ] || {
+    echo "all_experiments with an unknown name exited $status, expected 2" >&2
+    exit 1
+  }
+
 echo "==> benchmark smoke (perfbench builds and passes its checks)"
 last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
   --workload config-sweep --seconds 1 --trace 0 | tail -n 1)"

@@ -21,8 +21,8 @@ pub use hyve_algorithms::{
 pub use hyve_core::{
     BankRemap, CoreError, EccProfile, EdgeMemoryKind, EnergyBreakdown, ExecutionStrategy,
     FaultPlan, HierarchyInstance, HierarchySpec, MetricsRecorder, PhaseTimes, ReliabilityReport,
-    RunReport, RunTrace, SessionBuilder, SharedRecorder, SimulationSession, SystemConfig,
-    TraceArtifact, TraceChannel, TraceDiff, TraceEvent, TraceSink, VertexMemoryKind,
+    RunReport, SessionBuilder, SharedRecorder, SimulationSession, SystemConfig, TraceArtifact,
+    TraceChannel, TraceDiff, TraceEvent, TraceSink, VertexMemoryKind,
 };
 pub use hyve_graph::{
     BlockId, DatasetProfile, DynamicGrid, Edge, EdgeList, FlatGrid, GraphError, GridGraph,
