@@ -332,13 +332,13 @@ pub(crate) struct ReliabilityOutcome {
 }
 
 /// Raw bit-error rate a channel's device sees under a plan: ReRAM scaled
-/// by MLC sensitivity, DRAM at its retention rate, on-chip tiers at the
+/// by MLC sensitivity, DRAM at its retention rate, on-chip SRAM at the
 /// soft-error rate.
 fn channel_ber(plan: &FaultPlan, device: &DeviceSpec) -> f64 {
     match device {
         DeviceSpec::Reram(cfg) => plan.reram_ber * mlc_ber_factor(cfg.cell.bits.bits()),
         DeviceSpec::Dram(_) => plan.dram_ber,
-        DeviceSpec::Sram(_) | DeviceSpec::RegisterFile { .. } => plan.sram_ber,
+        DeviceSpec::Sram(_) => plan.sram_ber,
     }
 }
 

@@ -1,176 +1,19 @@
-//! The hybrid memory controller (§3.3, Fig. 4): address mapping, edge
-//! buffering and vertex data scheduling.
+//! The hybrid memory controller's resilience model (§3.3, Fig. 4).
 //!
 //! The controller is the abstraction layer between the accelerator logic
-//! and the hybrid memory modules. Three of its responsibilities are
-//! modelled explicitly:
+//! and the hybrid memory modules. What this module models of it is the
+//! detect→retry→remap escalation ladder for memory faults: ECC corrects
+//! what it can, detectable-uncorrectable errors are re-read with backoff,
+//! and persistently faulty edge banks are remapped onto spare banks
+//! ([`BankSpareMap`]) so a run degrades (less effective capacity, extra
+//! transfers) instead of aborting. [`ResilienceModel`] binds a fault plan
+//! to the edge channel's bank geometry.
 //!
-//! * **Address mapping** — translating a block's position in the grid to a
-//!   (chip, bank, row) location in the edge memory, §3.4's sequential
-//!   layout. This is what the power-gating controller consults to know
-//!   which bank a stream is entering.
-//! * **Edge buffering** — a small FIFO decouples the edge memory's bursty
-//!   512-bit accesses from the per-edge consumption of the processing
-//!   units; its occupancy statistics show when the stream is supply- or
-//!   consumer-bound.
-//! * **Scheduling stalls** — "during scheduling, on-chip vertex memory
-//!   access requests are stalled" (§3.3); the controller counts them.
-//! * **Resilience** — the detect→retry→remap escalation ladder for memory
-//!   faults: ECC corrects what it can, detectable-uncorrectable errors are
-//!   re-read with backoff, and persistently faulty edge banks are remapped
-//!   onto spare banks ([`BankSpareMap`]) so a run degrades (less effective
-//!   capacity, extra transfers) instead of aborting.
+//! The controller's sequential address layout (§3.4), which decides how
+//! many edge banks a scan wakes, lives with the power-gating controller in
+//! the [`hierarchy`](crate::hierarchy) module.
 
-use hyve_memsim::{FaultPlan, Time};
-
-/// Physical placement of a byte range in the edge memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EdgeAddress {
-    /// Chip on the edge channel.
-    pub chip: u32,
-    /// Bank within the chip.
-    pub bank: u32,
-    /// Byte offset within the bank.
-    pub offset: u64,
-}
-
-/// Maps sequential edge-memory offsets onto chips and banks (§3.1: no bank
-/// interleaving — data fills one bank completely before the next, so a
-/// sequential scan powers exactly one bank at a time).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AddressMap {
-    chips: u32,
-    banks_per_chip: u32,
-    bank_bytes: u64,
-}
-
-impl AddressMap {
-    /// Creates a map over `chips × banks_per_chip` banks of `bank_bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn new(chips: u32, banks_per_chip: u32, bank_bytes: u64) -> Self {
-        assert!(
-            chips > 0 && banks_per_chip > 0 && bank_bytes > 0,
-            "degenerate address map"
-        );
-        AddressMap {
-            chips,
-            banks_per_chip,
-            bank_bytes,
-        }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        u64::from(self.chips) * u64::from(self.banks_per_chip) * self.bank_bytes
-    }
-
-    /// Translates a byte offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the offset exceeds the capacity.
-    pub fn translate(&self, byte_offset: u64) -> EdgeAddress {
-        assert!(
-            byte_offset < self.capacity_bytes(),
-            "offset {byte_offset} beyond capacity {}",
-            self.capacity_bytes()
-        );
-        let bank_linear = byte_offset / self.bank_bytes;
-        EdgeAddress {
-            chip: (bank_linear / u64::from(self.banks_per_chip)) as u32,
-            bank: (bank_linear % u64::from(self.banks_per_chip)) as u32,
-            offset: byte_offset % self.bank_bytes,
-        }
-    }
-
-    /// Number of bank boundaries a sequential scan of `bytes` bytes
-    /// starting at offset 0 crosses — the power-gating transition count.
-    pub fn banks_spanned(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.bank_bytes).max(1)
-    }
-}
-
-/// A FIFO edge buffer between edge memory and the processing units.
-///
-/// Tracked analytically: given the producer period (one burst of
-/// `edges_per_burst` every `burst_period`) and the consumer period (one
-/// edge every `consume_period` aggregated across PUs), the buffer either
-/// hides the mismatch or stalls one side.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EdgeBuffer {
-    capacity_edges: u32,
-}
-
-/// Which side of the edge buffer limits throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamBound {
-    /// The edge memory cannot keep the buffer full (supply-bound).
-    Supply,
-    /// The processing units cannot drain it (consumer-bound).
-    Consumer,
-    /// Perfectly matched rates.
-    Balanced,
-}
-
-/// Steady-state analysis of the edge stream through the buffer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamAnalysis {
-    /// Effective per-edge period seen by the PUs.
-    pub effective_period: Time,
-    /// Which side limits throughput.
-    pub bound: StreamBound,
-    /// Steady-state buffer occupancy fraction (0 = starved, 1 = full).
-    pub occupancy: f64,
-}
-
-impl EdgeBuffer {
-    /// Creates a buffer holding `capacity_edges` edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is zero.
-    pub fn new(capacity_edges: u32) -> Self {
-        assert!(capacity_edges > 0, "edge buffer needs capacity");
-        EdgeBuffer { capacity_edges }
-    }
-
-    /// Buffer capacity in edges.
-    pub fn capacity(&self) -> u32 {
-        self.capacity_edges
-    }
-
-    /// Steady-state behaviour for given producer/consumer rates.
-    pub fn analyze(
-        &self,
-        burst_period: Time,
-        edges_per_burst: u32,
-        consume_period: Time,
-    ) -> StreamAnalysis {
-        let supply_per_edge = burst_period / f64::from(edges_per_burst.max(1));
-        let (bound, effective, occupancy) = if supply_per_edge > consume_period {
-            (StreamBound::Supply, supply_per_edge, 0.0)
-        } else if supply_per_edge < consume_period {
-            (StreamBound::Consumer, consume_period, 1.0)
-        } else {
-            (StreamBound::Balanced, consume_period, 0.5)
-        };
-        StreamAnalysis {
-            effective_period: effective,
-            bound,
-            occupancy,
-        }
-    }
-}
-
-impl Default for EdgeBuffer {
-    /// 64 edges — a few bursts of slack, matching the controller sketch.
-    fn default() -> Self {
-        EdgeBuffer::new(64)
-    }
-}
+use hyve_memsim::FaultPlan;
 
 /// One bank-sparing decision: a persistently faulty edge bank and the
 /// spare bank now serving its address range.
@@ -348,67 +191,6 @@ impl ResilienceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn translation_walks_banks_then_chips() {
-        let map = AddressMap::new(2, 4, 1024);
-        assert_eq!(map.capacity_bytes(), 8 * 1024);
-        let a = map.translate(0);
-        assert_eq!((a.chip, a.bank, a.offset), (0, 0, 0));
-        let b = map.translate(1024 * 3 + 5);
-        assert_eq!((b.chip, b.bank, b.offset), (0, 3, 5));
-        let c = map.translate(1024 * 4);
-        assert_eq!((c.chip, c.bank, c.offset), (1, 0, 0));
-        let d = map.translate(8 * 1024 - 1);
-        assert_eq!((d.chip, d.bank), (1, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond capacity")]
-    fn translation_bounds_checked() {
-        let map = AddressMap::new(1, 1, 16);
-        let _ = map.translate(16);
-    }
-
-    #[test]
-    fn banks_spanned_counts_transitions() {
-        let map = AddressMap::new(2, 4, 1024);
-        assert_eq!(map.banks_spanned(1), 1);
-        assert_eq!(map.banks_spanned(1024), 1);
-        assert_eq!(map.banks_spanned(1025), 2);
-        assert_eq!(map.banks_spanned(5000), 5);
-    }
-
-    #[test]
-    fn buffer_identifies_bound_side() {
-        let buf = EdgeBuffer::default();
-        // Supply: 512-bit burst (8 edges) every 1.983 ns = 0.248 ns/edge;
-        // consumer takes 2 ns/edge ⇒ consumer-bound, buffer full.
-        let a = buf.analyze(Time::from_ns(1.983), 8, Time::from_ns(2.0));
-        assert_eq!(a.bound, StreamBound::Consumer);
-        assert_eq!(a.occupancy, 1.0);
-        assert_eq!(a.effective_period, Time::from_ns(2.0));
-        // Slow memory: burst every 40 ns ⇒ 5 ns/edge supply vs 2 ns drain.
-        let b = buf.analyze(Time::from_ns(40.0), 8, Time::from_ns(2.0));
-        assert_eq!(b.bound, StreamBound::Supply);
-        assert_eq!(b.occupancy, 0.0);
-        assert_eq!(b.effective_period, Time::from_ns(5.0));
-    }
-
-    #[test]
-    fn balanced_stream() {
-        let buf = EdgeBuffer::new(8);
-        let a = buf.analyze(Time::from_ns(16.0), 8, Time::from_ns(2.0));
-        assert_eq!(a.bound, StreamBound::Balanced);
-        assert_eq!(a.occupancy, 0.5);
-        assert_eq!(buf.capacity(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate")]
-    fn zero_dims_panic() {
-        let _ = AddressMap::new(0, 4, 1024);
-    }
 
     #[test]
     fn spare_map_allocates_from_the_top_down() {

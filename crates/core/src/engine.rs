@@ -30,7 +30,7 @@ use crate::session::SimulationSession;
 use crate::stats::{EnergyBreakdown, PhaseTimes, RunReport};
 use crate::trace::{TraceChannel, TraceEvent};
 use hyve_algorithms::{EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
-use hyve_graph::{GridGraph, VertexId};
+use hyve_graph::{GraphError, GridGraph, VertexId};
 use hyve_memsim::Time;
 
 /// Cost of the one-shot preprocessing step: writing the partitioned edge
@@ -65,9 +65,8 @@ struct PuScratch<V> {
     /// elided; the reduce ignores inactive PUs.
     active: bool,
     /// Non-empty blocks this PU walked in the current iteration. Always
-    /// maintained (two `u64` writes per block — the `trace_overhead` bench
-    /// pins this as unmeasurable); only *read* when a trace sink is
-    /// attached.
+    /// maintained (two `u64` writes per block); only *read* when a trace
+    /// sink is attached.
     blocks_processed: u64,
     /// Non-empty blocks this PU elided via dirty-interval skipping.
     blocks_skipped: u64,
@@ -127,6 +126,10 @@ impl SimulationSession {
     ///
     /// [`CoreError::Unschedulable`] when the grid's interval count is below
     /// the PU count or not divisible by it;
+    /// [`CoreError::Graph`] with [`GraphError::VertexOutOfRange`] when the
+    /// grid stores an edge to a vertex past its count (a
+    /// [`DynamicGrid`](hyve_graph::DynamicGrid) snapshot after edges to
+    /// newly added vertices);
     /// [`CoreError::MaxIterationsExceeded`] (carrying the partial report)
     /// when a converge-bound program is still changing values at its
     /// iteration cap.
@@ -147,11 +150,20 @@ impl SimulationSession {
                 message: format!("{p} intervals not divisible by {n} processing units"),
             });
         }
+        let flat = grid.flat();
+        // A dynamic snapshot may store edges at reserved vertex slots past
+        // its vertex count; its out-degree table then runs past it too.
+        let named = flat.out_degrees().len();
+        if named > grid.num_vertices() as usize {
+            return Err(CoreError::Graph(GraphError::VertexOutOfRange {
+                vertex: named as u32 - 1,
+                num_vertices: grid.num_vertices(),
+            }));
+        }
         let schedule = crate::schedule::SuperBlockSchedule::new(p, n).expect("shape checked above");
         // The per-run artifacts (block plan, out-degrees) derive from the
         // grid's sparse SoA edge storage once per run instead of
         // per-iteration rescans.
-        let flat = grid.flat();
         let plan = BlockPlan::build(flat, &schedule, self.strategy);
         let meta = GraphMeta {
             num_vertices: grid.num_vertices(),

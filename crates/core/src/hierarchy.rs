@@ -10,8 +10,8 @@
 //! module makes that literal:
 //!
 //! * **spec** — [`HierarchySpec::lower`] translates a [`SystemConfig`] into
-//!   channel descriptions ([`ChannelSpec`]: role + [`DeviceSpec`] + ganged
-//!   chip count). All device selection happens here; the engine never
+//!   channel descriptions ([`ChannelSpec`]: [`DeviceSpec`] + ganged chip
+//!   count). All device selection happens here; the engine never
 //!   pattern-matches a memory-technology enum again.
 //! * **instance** — [`HierarchyInstance::build`] constructs every device
 //!   model, the per-channel cost memos ([`OpCosts`]), the inter-PU router
@@ -27,12 +27,12 @@
 //! lowering rule — not editing the engine.
 
 use crate::config::{EdgeMemoryKind, SystemConfig, VertexMemoryKind};
-use crate::controller::{AddressMap, ResilienceModel};
+use crate::controller::ResilienceModel;
 use crate::error::CoreError;
 use crate::router::Router;
 use hyve_memsim::{
     BankPowerGating, DramChip, DramChipConfig, EccProfile, Energy, FaultPlan, MemoryDevice, Power,
-    PowerGatingConfig, RegisterFile, ReramChip, ReramChipConfig, SramArray, SramConfig, Time,
+    PowerGatingConfig, ReramChip, ReramChipConfig, SramArray, SramConfig, Time,
 };
 use std::cell::Cell;
 use std::fmt;
@@ -67,27 +67,6 @@ pub fn device_constructions() -> u64 {
     DEVICE_CONSTRUCTIONS.with(Cell::get)
 }
 
-/// Role a channel plays in the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChannelRole {
-    /// Sequential-read stream of partitioned edge data (§3.1).
-    EdgeStream,
-    /// Off-chip global vertex memory (§3.2).
-    GlobalVertex,
-    /// On-chip local vertex tier serving per-edge random accesses.
-    LocalVertex,
-}
-
-impl fmt::Display for ChannelRole {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ChannelRole::EdgeStream => "edge stream",
-            ChannelRole::GlobalVertex => "global vertex",
-            ChannelRole::LocalVertex => "local vertex",
-        })
-    }
-}
-
 /// Declarative description of the device behind a channel — enough to
 /// construct the model without consulting the [`SystemConfig`] again.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,11 +77,6 @@ pub enum DeviceSpec {
     Dram(DramChipConfig),
     /// On-chip SRAM array.
     Sram(SramConfig),
-    /// Small per-PU register file (the GraphR-style local tier).
-    RegisterFile {
-        /// 32-bit entries per file.
-        entries: u32,
-    },
 }
 
 impl DeviceSpec {
@@ -112,7 +86,6 @@ impl DeviceSpec {
             DeviceSpec::Reram(_) => hyve_memsim::DeviceKind::Reram,
             DeviceSpec::Dram(_) => hyve_memsim::DeviceKind::Dram,
             DeviceSpec::Sram(_) => hyve_memsim::DeviceKind::Sram,
-            DeviceSpec::RegisterFile { .. } => hyve_memsim::DeviceKind::RegisterFile,
         }
     }
 }
@@ -125,20 +98,15 @@ impl fmt::Display for DeviceSpec {
             DeviceSpec::Sram(c) => {
                 write!(f, "SRAM {} MB", c.capacity_bytes / (1024 * 1024))
             }
-            DeviceSpec::RegisterFile { entries } => {
-                write!(f, "register file ({entries} × 32-bit)")
-            }
         }
     }
 }
 
-/// One channel of the hierarchy, declaratively: its role, its device, and
-/// how many chips are ganged on the channel (streaming in parallel like a
-/// DIMM rank).
+/// One channel of the hierarchy, declaratively: its device, and how many
+/// chips are ganged on the channel (streaming in parallel like a DIMM
+/// rank). The [`HierarchySpec`] field holding it names what it stores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelSpec {
-    /// What the channel stores.
-    pub role: ChannelRole,
     /// Device technology and parameters.
     pub device: DeviceSpec,
     /// Chips ganged on the channel.
@@ -193,17 +161,14 @@ impl HierarchySpec {
             name: config.name,
             num_pus: config.num_pus,
             edge: ChannelSpec {
-                role: ChannelRole::EdgeStream,
                 device: edge_device,
                 chips: EDGE_CHANNEL_CHIPS,
             },
             global_vertex: ChannelSpec {
-                role: ChannelRole::GlobalVertex,
                 device: global_device,
                 chips: VERTEX_CHANNEL_CHIPS,
             },
             local_vertex: config.sram_config().map(|sc| ChannelSpec {
-                role: ChannelRole::LocalVertex,
                 device: DeviceSpec::Sram(sc),
                 chips: 1,
             }),
@@ -261,7 +226,6 @@ enum ChannelDevice {
     Reram(ReramChip),
     Dram(DramChip),
     Sram(SramArray),
-    RegFile(RegisterFile),
 }
 
 impl ChannelDevice {
@@ -270,7 +234,6 @@ impl ChannelDevice {
             ChannelDevice::Reram(c) => c,
             ChannelDevice::Dram(c) => c,
             ChannelDevice::Sram(c) => c,
-            ChannelDevice::RegFile(c) => c,
         }
     }
 }
@@ -339,7 +302,6 @@ impl OpCosts {
 /// the run's [`EnergyBreakdown`](crate::EnergyBreakdown), not here.
 #[derive(Debug, Clone)]
 pub struct Channel {
-    role: ChannelRole,
     chips: u32,
     device: ChannelDevice,
     costs: OpCosts,
@@ -351,28 +313,14 @@ impl Channel {
             DeviceSpec::Reram(c) => ChannelDevice::Reram(ReramChip::try_new(c.clone())?),
             DeviceSpec::Dram(c) => ChannelDevice::Dram(DramChip::try_new(c.clone())?),
             DeviceSpec::Sram(c) => ChannelDevice::Sram(SramArray::try_new(c.clone())?),
-            DeviceSpec::RegisterFile { entries } => {
-                if *entries == 0 {
-                    return Err(CoreError::InvalidConfig {
-                        message: "register-file tier needs at least one entry".into(),
-                    });
-                }
-                ChannelDevice::RegFile(RegisterFile::new(*entries))
-            }
         };
         DEVICE_CONSTRUCTIONS.with(|c| c.set(c.get() + 1));
         let costs = OpCosts::capture(device.as_memory_device());
         Ok(Channel {
-            role: spec.role,
             chips: spec.chips,
             device,
             costs,
         })
-    }
-
-    /// The channel's role in the hierarchy.
-    pub fn role(&self) -> ChannelRole {
-        self.role
     }
 
     /// Chips ganged on the channel.
@@ -405,7 +353,8 @@ impl Channel {
 #[derive(Debug, Clone)]
 pub(crate) struct EdgeGating {
     gating: BankPowerGating,
-    map: AddressMap,
+    /// Bytes in one edge bank.
+    bank_bytes: u64,
 }
 
 impl EdgeGating {
@@ -415,21 +364,18 @@ impl EdgeGating {
             chip.banks() * chips,
             chip.bank_leakage(),
         );
-        // Sequential layout (§3.4): a scan wakes banks in address order,
-        // one transition per bank the edge data spans.
-        let map = AddressMap::new(
-            chips,
-            chip.banks(),
-            chip.capacity_bits() / u64::from(chip.banks()) / 8,
-        );
-        EdgeGating { gating, map }
+        let bank_bytes = chip.capacity_bits() / u64::from(chip.banks()) / 8;
+        EdgeGating { gating, bank_bytes }
     }
 
     /// Sleep/wake transition pairs charged over a run: one per bank the
-    /// edge data spans (§3.4's sequential layout), per iteration. The
-    /// trace layer reports exactly this number.
+    /// edge data spans, per iteration. The layout is sequential (§3.1,
+    /// §3.4): no bank interleaving, so data fills one bank before the next
+    /// and a scan wakes the banks in address order. The trace layer
+    /// reports exactly this number.
     pub(crate) fn transitions(&self, edge_bits: u64, iterations: u32) -> u64 {
-        self.map.banks_spanned(edge_bits.div_ceil(8)) * u64::from(iterations)
+        let edge_bytes = edge_bits.div_ceil(8);
+        edge_bytes.div_ceil(self.bank_bytes).max(1) * u64::from(iterations)
     }
 
     /// Gated background energy of the edge channel over `total_time`, for
@@ -628,7 +574,6 @@ mod tests {
         assert_eq!(device_constructions() - before, 3, "edge + global + local");
         assert!(h.router().is_some());
         assert!(h.gating().is_some());
-        assert_eq!(h.edge().role(), ChannelRole::EdgeStream);
         assert_eq!(h.edge().device().kind(), DeviceKind::Reram);
         assert_eq!(h.local_vertex().unwrap().device().kind(), DeviceKind::Sram);
 
@@ -668,20 +613,17 @@ mod tests {
     }
 
     #[test]
-    fn register_file_tier_builds_through_the_same_path() {
-        let spec = ChannelSpec {
-            role: ChannelRole::LocalVertex,
-            device: DeviceSpec::RegisterFile { entries: 64 },
-            chips: 1,
+    fn gating_charges_one_transition_per_bank_spanned() {
+        let gating = EdgeGating {
+            gating: BankPowerGating::new(PowerGatingConfig::default(), 8, Power::from_mw(1.0)),
+            bank_bytes: 1024,
         };
-        let ch = Channel::build(&spec).unwrap();
-        assert_eq!(ch.device().kind(), DeviceKind::RegisterFile);
-        assert_eq!(ch.costs().output_bits, ch.device().output_bits());
-        let bad = ChannelSpec {
-            device: DeviceSpec::RegisterFile { entries: 0 },
-            ..spec
-        };
-        assert!(Channel::build(&bad).is_err());
+        let banks = |bytes: u64| gating.transitions(bytes * 8, 1);
+        assert_eq!(banks(1), 1);
+        assert_eq!(banks(1024), 1);
+        assert_eq!(banks(1025), 2);
+        assert_eq!(banks(5000), 5);
+        assert_eq!(gating.transitions(5000 * 8, 3), 15, "once per iteration");
     }
 
     #[test]

@@ -64,19 +64,13 @@ pub mod schedule;
 pub mod session;
 pub mod stats;
 pub mod trace;
-pub mod workflow;
 
 pub use config::{EdgeMemoryKind, SystemConfig, VertexMemoryKind};
-pub use controller::{
-    AddressMap, BankRemap, BankSpareMap, EdgeAddress, EdgeBuffer, ResilienceModel, StreamAnalysis,
-    StreamBound,
-};
+pub use controller::{BankRemap, BankSpareMap, ResilienceModel};
 pub use engine::PreprocessingReport;
 pub use error::CoreError;
 pub use exec::ExecutionStrategy;
-pub use hierarchy::{
-    Channel, ChannelRole, ChannelSpec, DeviceSpec, HierarchyInstance, HierarchySpec,
-};
+pub use hierarchy::{Channel, ChannelSpec, DeviceSpec, HierarchyInstance, HierarchySpec};
 pub use hyve_memsim::{EccProfile, FaultPlan};
 pub use pu::ProcessingUnit;
 pub use router::Router;
@@ -87,4 +81,3 @@ pub use trace::{
     MetricsRecorder, ReliabilityTotals, SharedRecorder, SharedSink, TraceArtifact, TraceChannel,
     TraceDiff, TraceEvent, TraceSink,
 };
-pub use workflow::WorkingFlow;

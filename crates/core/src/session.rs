@@ -77,8 +77,9 @@ impl SessionBuilder {
     /// typed [`TraceEvent`](crate::TraceEvent)s — iteration summaries,
     /// phase times, per-channel ledgers, gating transitions, router
     /// traffic. Tracing is observation-only: reports and values are
-    /// bit-identical with or without a sink, and with no sink attached the
-    /// run path is unchanged (see the `trace_overhead` bench).
+    /// bit-identical with or without a sink, and with no sink attached no
+    /// event is built (perfbench's `core.trace_overhead` metric times a
+    /// traced job against the same job untraced).
     ///
     /// Pass a [`SharedRecorder`](crate::SharedRecorder) clone to collect a
     /// [`TraceArtifact`](crate::TraceArtifact) you can read back after the

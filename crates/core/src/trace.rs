@@ -17,7 +17,8 @@
 //! [`RunReport`](crate::RunReport)s are
 //! bit-identical with a sink attached or not (the golden suite pins this),
 //! and with no sink attached the only residue on the hot path is a pair of
-//! per-block `u64` increments (see the `trace_overhead` criterion bench).
+//! per-block `u64` increments. perfbench's `core.trace_overhead` metric
+//! times a job on a traced session against the same job untraced.
 //!
 //! ## Exactness
 //!

@@ -256,6 +256,14 @@ impl DynamicGrid {
     /// The current grid: a snapshot rebuilt on the first call after an edge
     /// mutation and cached until the next one. A rebuild is O(E + blocks +
     /// P), plus sorting the blocks insertions added since the last layout.
+    ///
+    /// The snapshot counts the materialised vertices only. Once an edge
+    /// touches a vertex added into a reserved padding slot since the last
+    /// layout, the snapshot stores an edge past its vertex count, and a
+    /// simulator run on it is rejected with an out-of-range vertex. Analyse
+    /// the graph through [`live_edge_list`](Self::live_edge_list), which
+    /// covers every logical vertex and drops tombstoned ones, not through
+    /// the snapshot or its `to_edge_list()`.
     pub fn grid(&self) -> &GridGraph {
         self.snapshot.get_or_init(|| self.materialize())
     }

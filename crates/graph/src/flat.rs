@@ -72,9 +72,11 @@ impl FlatGrid {
             }
             // Dynamic updates may append edges whose endpoints live in
             // reserved padding slots beyond the materialised vertex count;
-            // grow rather than panic on those.
-            if s as usize >= out_degrees.len() {
-                out_degrees.resize(s as usize + 1, 0);
+            // grow to cover either endpoint rather than panic on those, so
+            // a run can tell the grid names vertices it does not hold.
+            let named = s.max(d) as usize;
+            if named >= out_degrees.len() {
+                out_degrees.resize(named + 1, 0);
             }
             out_degrees[s as usize] += 1;
         }
@@ -170,6 +172,10 @@ impl FlatGrid {
     }
 
     /// Out-degree of every vertex, tallied once when the grid was built.
+    ///
+    /// One entry per vertex, unless a [`DynamicGrid`](crate::DynamicGrid)
+    /// snapshot stores edges at reserved padding slots past its vertex
+    /// count: the table then runs up to the highest vertex any edge names.
     pub fn out_degrees(&self) -> &[u32] {
         &self.out_degrees
     }

@@ -62,9 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graphr.edges_changed() as f64 / graphr_s / 1e6,
     );
 
-    // Re-analyse the evolved graph without a full preprocessing pass:
-    // flatten the mutated grid straight back into the engine.
-    let evolved = hyve.grid().to_edge_list();
+    // Re-analyse the evolved graph without a full preprocessing pass: its
+    // live edges (deleted pages' inert links dropped, new pages included)
+    // go straight back into the engine.
+    let evolved = hyve.live_edge_list();
     let engine = session(SystemConfig::hyve_opt());
     let report = engine.run_on_edge_list(&PageRank::new(10), &evolved)?;
     println!(

@@ -54,6 +54,13 @@ cargo run -q -p hyve-bench --release --offline --bin all_experiments -- no-such-
     exit 1
   }
 
+echo "==> example smoke (dynamic_stream re-ranks the evolved graph)"
+stream="$(cargo run -q --release --offline --example dynamic_stream)"
+grep -q "re-ranked evolved graph" <<<"$stream" || {
+    echo "dynamic_stream did not re-rank the evolved graph" >&2
+    exit 1
+  }
+
 echo "==> benchmark smoke (perfbench builds and passes its checks)"
 last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
   --workload config-sweep --seconds 1 --trace 0 | tail -n 1)"
