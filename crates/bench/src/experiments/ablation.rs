@@ -31,12 +31,12 @@ fn variants() -> Vec<Variant> {
         ("- data sharing", |c| c.with_data_sharing(false)),
         ("- power gating", |c| c.with_power_gating(false)),
         ("- ReRAM edges (DRAM)", |c| SystemConfig {
-            edge_memory: hyve_core::EdgeMemoryKind::Dram,
+            edge_memory: hyve_core::OffChipTech::Dram,
             power_gating: false, // gating needs nonvolatile edges
             ..c
         }),
         ("- DRAM vertices (ReRAM)", |c| SystemConfig {
-            offchip_vertex: hyve_core::VertexMemoryKind::Reram,
+            offchip_vertex: hyve_core::OffChipTech::Reram,
             ..c
         }),
         ("- SLC cells (3-bit MLC)", |c| {

@@ -14,17 +14,16 @@
 //! the arithmetic inside each pass — must not be reordered without
 //! re-blessing the baselines.
 
-use crate::controller::ResilienceModel;
+use crate::controller::BankSpareMap;
 use crate::exec::BlockPlan;
-use crate::hierarchy::{Channel, DeviceSpec, HierarchyInstance};
+use crate::hierarchy::{Channel, HierarchyInstance};
 use crate::pu::ProcessingUnit;
 use crate::router::Router;
 use crate::stats::{EnergyBreakdown, ReliabilityReport};
 use hyve_algorithms::{EdgeProgram, ExecutionMode};
 use hyve_graph::GridGraph;
 use hyve_memsim::{
-    expected_count, mlc_ber_factor, AccessStats, EccProfile, Energy, FaultPlan, FaultRng, Power,
-    Time,
+    expected_count, AccessStats, EccProfile, Energy, FaultPlan, FaultRng, Power, Time,
 };
 
 /// Banks that can overlap random accesses on a channel.
@@ -108,10 +107,9 @@ pub(crate) struct EdgeStream {
 /// Edge-stream pass: the edge-centric model reads *all* edges every
 /// iteration (§7.1), one pipelined sequential stream per pass.
 pub(crate) fn edge_stream(edge: &Channel, w: &Workload) -> EdgeStream {
-    let dev = edge.device();
     EdgeStream {
-        energy: dev.read_energy(w.edge_bits),
-        stream_time: dev.sequential_read_time(w.edge_bits),
+        energy: edge.read_energy(w.edge_bits),
+        stream_time: edge.sequential_read_time(w.edge_bits),
     }
 }
 
@@ -169,37 +167,32 @@ pub(crate) fn interval_traffic(
     // latencies pipeline behind the stream: the controller keeps many
     // requests outstanding, so latency only shows when it exceeds the
     // streaming time.
-    let vdev = global.device();
     let load_bits = dst_load_bits + src_load_bits;
-    let stream = vdev.sequential_read_time(load_bits / u64::from(global.chips()));
-    let latency = global.costs().read_latency * (interval_loads as f64 / OUTSTANDING_REQUESTS);
+    let stream = global.sequential_read_time(load_bits / u64::from(global.chips()));
+    let latency = global.read_latency() * (interval_loads as f64 / OUTSTANDING_REQUESTS);
     let lt_channel = stream.max(latency);
-    let lt_local = local.device().bulk_transfer_time(load_bits) / f64::from(w.n);
+    let lt_local = local.bulk_transfer_time(load_bits) / f64::from(w.n);
     let loading = lt_channel.max(lt_local);
     breakdown
         .offchip_vertex
-        .record_read(load_bits, vdev.read_energy(load_bits), lt_channel);
-    breakdown.onchip_vertex.record_write(
-        load_bits,
-        local.device().bulk_write_energy(load_bits),
-        Time::ZERO,
-    );
+        .record_read(load_bits, global.read_energy(load_bits), lt_channel);
+    breakdown
+        .onchip_vertex
+        .record_write(load_bits, local.bulk_write_energy(load_bits), Time::ZERO);
 
     // Write-back of destination intervals streams at the device's
     // sequential-write rate: burst-pipelined on DRAM, program-pulse-limited
     // on ReRAM — the §3.2 reason HyVE keeps vertices in DRAM.
     let store_bits = dst_store_vertices * w.value_bits;
-    let ut_channel = global.costs().write_latency * f64::from(w.p)
-        + global.costs().sequential_write_period
-            * (store_bits.div_ceil(u64::from(global.costs().output_bits * global.chips()))) as f64;
+    let ut_channel = global.write_latency() * f64::from(w.p)
+        + global.sequential_write_period()
+            * (store_bits.div_ceil(u64::from(global.output_bits() * global.chips()))) as f64;
     breakdown
         .offchip_vertex
-        .record_write(store_bits, vdev.write_energy(store_bits), ut_channel);
-    breakdown.onchip_vertex.record_read(
-        store_bits,
-        local.device().bulk_read_energy(store_bits),
-        Time::ZERO,
-    );
+        .record_write(store_bits, global.write_energy(store_bits), ut_channel);
+    breakdown
+        .onchip_vertex
+        .record_read(store_bits, local.bulk_read_energy(store_bits), Time::ZERO);
     IntervalTraffic {
         loading,
         updating: ut_channel,
@@ -217,11 +210,11 @@ pub(crate) fn onchip_processing(
     w: &Workload,
     breakdown: &mut EnergyBreakdown,
 ) -> Time {
-    let edges_per_access = (u64::from(edge.costs().output_bits) / hyve_graph::Edge::BITS).max(1);
-    let edge_supply = edge.costs().burst_period * (f64::from(w.n) / edges_per_access as f64);
-    let src_stage = local.costs().word_read_latency * w.words_per_value as f64;
-    let dst_stage = (local.costs().word_read_latency + local.costs().word_write_latency)
-        * w.words_per_value as f64;
+    let edges_per_access = (u64::from(edge.output_bits()) / hyve_graph::Edge::BITS).max(1);
+    let edge_supply = edge.burst_period() * (f64::from(w.n) / edges_per_access as f64);
+    let src_stage = local.word_read_latency() * w.words_per_value as f64;
+    let dst_stage =
+        (local.word_read_latency() + local.word_write_latency()) * w.words_per_value as f64;
     let pu_stage = pu.pipelined_period();
     let per_edge =
         edge_supply.max(src_stage).max(dst_stage).max(pu_stage) * w.traversal_factor as f64;
@@ -232,9 +225,8 @@ pub(crate) fn onchip_processing(
 
     // Per-edge on-chip + PU energy.
     let traversals = w.traversals();
-    let local_dev = local.device();
-    let word_read = local_dev.read_energy(32) * w.words_per_value as f64;
-    let word_write = local_dev.write_energy(32) * w.words_per_value as f64;
+    let word_read = local.read_energy(32) * w.words_per_value as f64;
+    let word_write = local.write_energy(32) * w.words_per_value as f64;
     let per_edge_onchip = word_read * 2.0 + word_write;
     breakdown.onchip_vertex.record_read(
         traversals * w.value_bits * 2,
@@ -295,9 +287,8 @@ pub(crate) fn random_access(
     breakdown: &mut EnergyBreakdown,
 ) -> Time {
     let traversals = w.traversals();
-    let vdev = global.device();
-    let rd = vdev.random_read_energy(w.value_bits);
-    let wr = vdev.random_write_energy(w.value_bits);
+    let rd = global.random_read_energy(w.value_bits);
+    let wr = global.random_write_energy(w.value_bits);
     breakdown.offchip_vertex.record_read(
         traversals * w.value_bits * 2,
         rd * 2.0 * traversals as f64,
@@ -316,7 +307,7 @@ pub(crate) fn random_access(
 
     // Three random vertex accesses per edge, overlapped across banks.
     let per_edge_latency =
-        (global.costs().read_latency * 2.0 + global.costs().write_latency) / BANK_PARALLELISM;
+        (global.read_latency() * 2.0 + global.write_latency()) / BANK_PARALLELISM;
     let per_edge = per_edge_latency.max(pu.pipelined_period()) * w.traversal_factor as f64;
     per_edge * w.ne as f64
 }
@@ -331,17 +322,6 @@ pub(crate) struct ReliabilityOutcome {
     pub report: ReliabilityReport,
 }
 
-/// Raw bit-error rate a channel's device sees under a plan: ReRAM scaled
-/// by MLC sensitivity, DRAM at its retention rate, on-chip SRAM at the
-/// soft-error rate.
-fn channel_ber(plan: &FaultPlan, device: &DeviceSpec) -> f64 {
-    match device {
-        DeviceSpec::Reram(cfg) => plan.reram_ber * mlc_ber_factor(cfg.cell.bits.bits()),
-        DeviceSpec::Dram(_) => plan.dram_ber,
-        DeviceSpec::Sram(_) => plan.sram_ber,
-    }
-}
-
 /// Detect→retry ECC escalation over one channel's run-total traffic.
 ///
 /// Charges the syndrome-decode energy on every protected access, the
@@ -351,18 +331,18 @@ fn channel_ber(plan: &FaultPlan, device: &DeviceSpec) -> f64 {
 fn channel_escalation(
     ch: &Channel,
     stats: &mut AccessStats,
-    ber: f64,
-    ecc: EccProfile,
-    max_retries: u32,
+    plan: &FaultPlan,
     rng: &mut FaultRng,
     report: &mut ReliabilityReport,
 ) -> Time {
-    let word_bits = ch.costs().output_bits;
+    let word_bits = ch.output_bits();
+    let ecc = plan.ecc;
     if ecc == EccProfile::None {
         return Time::ZERO;
     }
-    // The syndrome pipeline checks every access; its latency is already in
-    // the cost memo, its energy is charged here.
+    // The syndrome pipeline checks every access; the channel's latencies
+    // already include it, its energy is charged here.
+    let ber = ch.raw_ber(plan);
     let accesses = stats.reads + stats.writes;
     stats.dynamic_energy += ecc.detect_energy(word_bits) * accesses as f64;
     if ber <= 0.0 {
@@ -388,7 +368,7 @@ fn channel_escalation(
     let mut retries = 0u64;
     let mut backoff_units = 0u64;
     for _ in 0..sampled {
-        let attempts = 1 + rng.below(u64::from(max_retries));
+        let attempts = 1 + rng.below(u64::from(plan.max_retries));
         retries += attempts;
         backoff_units += attempts * (attempts + 1) / 2;
     }
@@ -398,8 +378,8 @@ fn channel_escalation(
     }
     stats.reads += retries;
     stats.bits_read += retries * u64::from(word_bits);
-    stats.dynamic_energy += ch.device().read_energy(u64::from(word_bits)) * retries as f64;
-    let retry_time = ch.costs().read_latency * backoff_units as f64;
+    stats.dynamic_energy += ch.read_energy(u64::from(word_bits)) * retries as f64;
+    let retry_time = ch.read_latency() * backoff_units as f64;
     stats.busy_time += retry_time;
     exposed += retry_time;
 
@@ -420,14 +400,12 @@ fn channel_escalation(
 /// a fixed channel order — outcomes are identical across execution
 /// strategies and thread counts by construction.
 pub(crate) fn reliability(
-    model: &ResilienceModel,
+    plan: &FaultPlan,
     hierarchy: &HierarchyInstance,
     w: &Workload,
     iterations: u32,
     breakdown: &mut EnergyBreakdown,
 ) -> ReliabilityOutcome {
-    let plan = model.plan();
-    let spec = hierarchy.spec();
     let mut rng = FaultRng::new(plan.seed);
     let mut report = ReliabilityReport::default();
     let mut exposed = Time::ZERO;
@@ -436,28 +414,22 @@ pub(crate) fn reliability(
     exposed += channel_escalation(
         hierarchy.edge(),
         &mut breakdown.edge_memory,
-        channel_ber(plan, &spec.edge.device),
-        plan.ecc,
-        plan.max_retries,
+        plan,
         &mut rng,
         &mut report,
     );
     exposed += channel_escalation(
         hierarchy.global_vertex(),
         &mut breakdown.offchip_vertex,
-        channel_ber(plan, &spec.global_vertex.device),
-        plan.ecc,
-        plan.max_retries,
+        plan,
         &mut rng,
         &mut report,
     );
-    if let (Some(local), Some(local_spec)) = (hierarchy.local_vertex(), &spec.local_vertex) {
+    if let Some(local) = hierarchy.local_vertex() {
         exposed += channel_escalation(
             local,
             &mut breakdown.onchip_vertex,
-            channel_ber(plan, &local_spec.device),
-            plan.ecc,
-            plan.max_retries,
+            plan,
             &mut rng,
             &mut report,
         );
@@ -466,11 +438,11 @@ pub(crate) fn reliability(
     // Remap: persistent edge-bank faults — factory-stuck banks plus banks
     // whose endurance budget the run's scan count exhausted — are spared
     // so the run completes degraded instead of aborting.
-    let mut spares = model.spare_map();
-    let banks_per_chip = u64::from(model.edge_banks_per_chip());
-    let data_banks = model
-        .total_edge_banks()
-        .saturating_sub(spares.spare_banks());
+    let edge = hierarchy.edge();
+    let mut spares = BankSpareMap::new(edge.chips(), edge.banks_per_chip());
+    let banks_per_chip = u64::from(edge.banks_per_chip());
+    let data_banks =
+        (u64::from(edge.chips()) * banks_per_chip).saturating_sub(spares.spare_banks());
     let mut persistent: Vec<(u32, u32)> = plan.stuck_banks.clone();
     if let Some(limit) = plan.wear_limit {
         // Process variation: each bank's endurance is a seed-deterministic
@@ -496,11 +468,10 @@ pub(crate) fn reliability(
     if remapped > 0 {
         let share_bits = (w.edge_bits / data_banks.max(1)).max(1);
         let extra_bits = share_bits * remapped * u64::from(iterations);
-        let dev = hierarchy.edge().device();
-        let extra_time = dev.sequential_read_time(extra_bits);
+        let extra_time = edge.sequential_read_time(extra_bits);
         breakdown
             .edge_memory
-            .record_read(extra_bits, dev.read_energy(extra_bits), extra_time);
+            .record_read(extra_bits, edge.read_energy(extra_bits), extra_time);
         exposed += extra_time;
     }
 
@@ -526,24 +497,21 @@ pub(crate) fn background(
     w: &Workload,
     breakdown: &mut EnergyBreakdown,
 ) {
+    let edge = hierarchy.edge();
     let edge_bg = match hierarchy.gating() {
         Some(gating) => gating.background_energy(total_time, w.edge_bits, iterations),
-        None => {
-            hierarchy.edge().costs().background_power
-                * f64::from(hierarchy.edge().chips())
-                * total_time
-        }
+        None => edge.background_power() * f64::from(edge.chips()) * total_time,
     };
     breakdown.edge_memory.record_background(edge_bg);
 
     let global = hierarchy.global_vertex();
-    breakdown.offchip_vertex.record_background(
-        global.costs().background_power * f64::from(global.chips()) * total_time,
-    );
+    breakdown
+        .offchip_vertex
+        .record_background(global.background_power() * f64::from(global.chips()) * total_time);
     if let Some(local) = hierarchy.local_vertex() {
         breakdown
             .onchip_vertex
-            .record_background(local.costs().background_power * total_time);
+            .record_background(local.background_power() * total_time);
     }
     let logic_power = pu.leakage() * f64::from(w.n)
         + hierarchy.router().map_or(Power::ZERO, Router::leakage)

@@ -15,22 +15,16 @@
 use crate::error::CoreError;
 use hyve_memsim::{CellBits, DramChipConfig, ReramChipConfig, SramConfig};
 
-/// Technology of the (sequential-read) edge memory.
+/// Technology of an off-chip channel: the edge memory or the global
+/// vertex memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgeMemoryKind {
-    /// ReRAM main memory (HyVE's choice).
+pub enum OffChipTech {
+    /// ReRAM main memory — HyVE's edge memory; the all-ReRAM baseline also
+    /// keeps vertices in it.
     Reram,
-    /// Conventional DRAM.
+    /// Conventional DRAM — high write bandwidth, HyVE's vertex memory
+    /// (§3.2).
     Dram,
-}
-
-/// Technology of the off-chip (global) vertex memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VertexMemoryKind {
-    /// DRAM — high write bandwidth, HyVE's choice (§3.2).
-    Dram,
-    /// ReRAM — used by the all-ReRAM baseline.
-    Reram,
 }
 
 /// Full system configuration for a [`SimulationSession`](crate::SimulationSession) run.
@@ -41,16 +35,16 @@ pub struct SystemConfig {
     /// Number of processing units (paper: 8).
     pub num_pus: u32,
     /// Edge-memory technology.
-    pub edge_memory: EdgeMemoryKind,
+    pub edge_memory: OffChipTech,
     /// Off-chip vertex memory technology.
-    pub offchip_vertex: VertexMemoryKind,
+    pub offchip_vertex: OffChipTech,
     /// Total on-chip SRAM vertex memory in megabytes; `None` means vertices
     /// are accessed randomly in off-chip memory (acc+DRAM / acc+ReRAM).
     pub sram_mb: Option<u64>,
     /// Inter-PU source-interval sharing (§4.2).
     pub data_sharing: bool,
-    /// Bank-level power gating of the edge memory (§4.1; effective only
-    /// with nonvolatile edge memory).
+    /// Bank-level power gating of the edge memory (§4.1; requires a
+    /// nonvolatile edge memory).
     pub power_gating: bool,
     /// Memory chip density in gigabits (paper sweeps 4/8/16).
     pub density_gbit: u32,
@@ -71,8 +65,8 @@ impl SystemConfig {
         SystemConfig {
             name: "acc+DRAM",
             num_pus: 8,
-            edge_memory: EdgeMemoryKind::Dram,
-            offchip_vertex: VertexMemoryKind::Dram,
+            edge_memory: OffChipTech::Dram,
+            offchip_vertex: OffChipTech::Dram,
             sram_mb: None,
             data_sharing: false,
             power_gating: false,
@@ -87,8 +81,8 @@ impl SystemConfig {
     pub fn acc_reram() -> Self {
         SystemConfig {
             name: "acc+ReRAM",
-            edge_memory: EdgeMemoryKind::Reram,
-            offchip_vertex: VertexMemoryKind::Reram,
+            edge_memory: OffChipTech::Reram,
+            offchip_vertex: OffChipTech::Reram,
             ..Self::acc_dram()
         }
     }
@@ -112,8 +106,8 @@ impl SystemConfig {
     pub fn hyve() -> Self {
         SystemConfig {
             name: "acc+HyVE",
-            edge_memory: EdgeMemoryKind::Reram,
-            offchip_vertex: VertexMemoryKind::Dram,
+            edge_memory: OffChipTech::Reram,
+            offchip_vertex: OffChipTech::Dram,
             sram_mb: Some(2),
             data_sharing: true,
             ..Self::acc_dram()
@@ -193,8 +187,11 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when PU count / density / SRAM size is
-    /// zero, or power gating is requested on a volatile (DRAM) edge memory.
+    /// [`CoreError::InvalidConfig`] when PU count / density / SRAM size /
+    /// dataset scale is zero. Device choices (power gating needs a
+    /// nonvolatile edge memory) are checked when
+    /// [`HierarchyInstance::build`](crate::HierarchyInstance::build) builds
+    /// them.
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.num_pus == 0 {
             return Err(CoreError::InvalidConfig {
@@ -216,11 +213,6 @@ impl SystemConfig {
                 message: "dataset scale must be at least 1".into(),
             });
         }
-        if self.power_gating && self.edge_memory == EdgeMemoryKind::Dram {
-            return Err(CoreError::InvalidConfig {
-                message: "bank-level power gating requires nonvolatile (ReRAM) edge memory".into(),
-            });
-        }
         Ok(())
     }
 }
@@ -239,14 +231,14 @@ mod tests {
     #[test]
     fn presets_match_paper_table() {
         let sd = SystemConfig::acc_sram_dram();
-        assert_eq!(sd.edge_memory, EdgeMemoryKind::Dram);
+        assert_eq!(sd.edge_memory, OffChipTech::Dram);
         assert_eq!(sd.sram_mb, Some(2));
         // §7.3.3: all accelerator configs share the same data scheduling.
         assert!(sd.data_sharing && !sd.power_gating);
 
         let hyve = SystemConfig::hyve();
-        assert_eq!(hyve.edge_memory, EdgeMemoryKind::Reram);
-        assert_eq!(hyve.offchip_vertex, VertexMemoryKind::Dram);
+        assert_eq!(hyve.edge_memory, OffChipTech::Reram);
+        assert_eq!(hyve.offchip_vertex, OffChipTech::Dram);
         assert!(hyve.data_sharing && !hyve.power_gating);
 
         let opt = SystemConfig::hyve_opt();
@@ -266,12 +258,6 @@ mod tests {
         ] {
             cfg.validate().expect("preset must validate");
         }
-    }
-
-    #[test]
-    fn gating_on_dram_rejected() {
-        let bad = SystemConfig::acc_dram().with_power_gating(true);
-        assert!(bad.validate().is_err());
     }
 
     #[test]

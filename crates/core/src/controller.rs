@@ -6,14 +6,13 @@
 //! what it can, detectable-uncorrectable errors are re-read with backoff,
 //! and persistently faulty edge banks are remapped onto spare banks
 //! ([`BankSpareMap`]) so a run degrades (less effective capacity, extra
-//! transfers) instead of aborting. [`ResilienceModel`] binds a fault plan
-//! to the edge channel's bank geometry.
+//! transfers) instead of aborting. The plan itself is held by the
+//! [`HierarchyInstance`](crate::HierarchyInstance), and each run sizes a
+//! fresh spare map from the edge channel's bank geometry.
 //!
 //! The controller's sequential address layout (§3.4), which decides how
 //! many edge banks a scan wakes, lives with the power-gating controller in
 //! the [`hierarchy`](crate::hierarchy) module.
-
-use hyve_memsim::FaultPlan;
 
 /// One bank-sparing decision: a persistently faulty edge bank and the
 /// spare bank now serving its address range.
@@ -117,77 +116,6 @@ impl BankSpareMap {
     }
 }
 
-/// The controller's reliability configuration, resolved against the edge
-/// channel's bank geometry.
-///
-/// Holds the immutable facts the accounting pass needs — the
-/// [`FaultPlan`], the edge bank geometry and the edge cell bits (MLC
-/// sensitivity). Mutable escalation state ([`BankSpareMap`]) is created
-/// fresh per run via [`ResilienceModel::spare_map`], so concurrent runs on
-/// one session stay independent and deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceModel {
-    plan: FaultPlan,
-    edge_chips: u32,
-    edge_banks_per_chip: u32,
-    edge_cell_bits: u32,
-}
-
-impl ResilienceModel {
-    /// Creates a model from a plan and the edge channel's geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank geometry is degenerate.
-    pub fn new(
-        plan: FaultPlan,
-        edge_chips: u32,
-        edge_banks_per_chip: u32,
-        edge_cell_bits: u32,
-    ) -> Self {
-        assert!(
-            edge_chips > 0 && edge_banks_per_chip > 0,
-            "degenerate edge bank geometry"
-        );
-        ResilienceModel {
-            plan,
-            edge_chips,
-            edge_banks_per_chip,
-            edge_cell_bits: edge_cell_bits.max(1),
-        }
-    }
-
-    /// The fault plan being enforced.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Edge-channel chips.
-    pub fn edge_chips(&self) -> u32 {
-        self.edge_chips
-    }
-
-    /// Banks per edge chip.
-    pub fn edge_banks_per_chip(&self) -> u32 {
-        self.edge_banks_per_chip
-    }
-
-    /// Bits per edge-memory cell (MLC raw-BER sensitivity).
-    pub fn edge_cell_bits(&self) -> u32 {
-        self.edge_cell_bits
-    }
-
-    /// Total edge banks across all chips.
-    pub fn total_edge_banks(&self) -> u64 {
-        u64::from(self.edge_chips) * u64::from(self.edge_banks_per_chip)
-    }
-
-    /// A fresh spare map for one run's escalation state.
-    pub fn spare_map(&self) -> BankSpareMap {
-        BankSpareMap::new(self.edge_chips, self.edge_banks_per_chip)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,24 +144,5 @@ mod tests {
         let b = map.remap(0, 0).unwrap();
         assert_eq!(a, b);
         assert_eq!(map.remaps().len(), 1);
-    }
-
-    #[test]
-    fn resilience_model_resolves_geometry() {
-        let plan = FaultPlan::none().with_seed(3);
-        let model = ResilienceModel::new(plan.clone(), 8, 8, 2);
-        assert_eq!(model.plan(), &plan);
-        assert_eq!(model.total_edge_banks(), 64);
-        assert_eq!(model.edge_cell_bits(), 2);
-        // Each run gets fresh, independent escalation state.
-        let mut a = model.spare_map();
-        a.remap(1, 1);
-        assert!(model.spare_map().remaps().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate edge bank geometry")]
-    fn resilience_model_rejects_zero_banks() {
-        let _ = ResilienceModel::new(FaultPlan::none(), 0, 8, 1);
     }
 }

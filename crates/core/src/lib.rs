@@ -6,10 +6,10 @@
 //! * [`SystemConfig`] — the memory-hierarchy configuration space the
 //!   evaluation sweeps (acc+DRAM, acc+ReRAM, acc+SRAM+DRAM, HyVE,
 //!   HyVE-opt; Fig. 16),
-//! * [`HierarchySpec`] / [`HierarchyInstance`] — the declarative memory
-//!   hierarchy a configuration lowers into, and its fully-constructed
-//!   channel set (device models built **once** per session; the
-//!   accounting passes write each run's [`EnergyBreakdown`]),
+//! * [`HierarchyInstance`] — the memory hierarchy a configuration
+//!   denotes, built straight from it: one [`Channel`] per level, each the
+//!   one source of its costs (device models built **once** per session;
+//!   the accounting passes write each run's [`EnergyBreakdown`]),
 //! * [`SimulationSession`] — the simulator: a builder that checks the
 //!   configuration once, constructs the hierarchy, and selects an
 //!   [`ExecutionStrategy`] (sequential, or a deterministic thread fan-out
@@ -29,7 +29,7 @@
 //!   perturbs accounting (golden reports are bit-identical either way),
 //! * reliability — a deterministic seed-driven fault model
 //!   ([`FaultPlan`], [`EccProfile`]) with ECC correction, bounded retry,
-//!   and edge-bank sparing ([`ResilienceModel`]), surfaced as a
+//!   and edge-bank sparing ([`BankSpareMap`]), surfaced as a
 //!   [`ReliabilityReport`] on the run report; with the default
 //!   [`FaultPlan::none`] the fault path is never entered and every report
 //!   stays bit-identical to a fault-free build.
@@ -65,12 +65,12 @@ pub mod session;
 pub mod stats;
 pub mod trace;
 
-pub use config::{EdgeMemoryKind, SystemConfig, VertexMemoryKind};
-pub use controller::{BankRemap, BankSpareMap, ResilienceModel};
+pub use config::{OffChipTech, SystemConfig};
+pub use controller::{BankRemap, BankSpareMap};
 pub use engine::PreprocessingReport;
 pub use error::CoreError;
 pub use exec::ExecutionStrategy;
-pub use hierarchy::{Channel, ChannelSpec, DeviceSpec, HierarchyInstance, HierarchySpec};
+pub use hierarchy::{Channel, HierarchyInstance};
 pub use hyve_memsim::{EccProfile, FaultPlan};
 pub use pu::ProcessingUnit;
 pub use router::Router;

@@ -3,11 +3,10 @@
 //!
 //! [`SimulationSession`] is the simulator: it runs Algorithm 2 (see
 //! [`crate::engine`]) over the memory hierarchy it owns. The builder
-//! validates the [`SystemConfig`] **once, at build time**, lowers it into a
-//! [`HierarchySpec`] and constructs every device model of the resulting
-//! [`HierarchyInstance`] exactly once — every later run borrows the same
-//! instance and no construction path panics — and selects an
-//! [`ExecutionStrategy`]:
+//! validates the [`SystemConfig`] **once, at build time**, builds the
+//! [`HierarchyInstance`] it denotes — every device model constructed
+//! exactly once; every later run borrows the same instance and no
+//! construction path panics — and selects an [`ExecutionStrategy`]:
 //!
 //! ```
 //! use hyve_core::{ExecutionStrategy, SimulationSession, SystemConfig};
@@ -33,7 +32,7 @@
 use crate::config::SystemConfig;
 use crate::error::CoreError;
 use crate::exec::{fan_out, ExecutionStrategy};
-use crate::hierarchy::{HierarchyInstance, HierarchySpec};
+use crate::hierarchy::HierarchyInstance;
 use crate::pu::ProcessingUnit;
 use crate::stats::RunReport;
 use crate::trace::{SharedSink, TraceSink};
@@ -117,22 +116,21 @@ impl SessionBuilder {
         self.strategy(ExecutionStrategy::Sequential)
     }
 
-    /// Validates the configuration and strategy, lowers the configuration
-    /// into a [`HierarchySpec`] carrying the fault plan, and constructs
-    /// every device model of the hierarchy once.
+    /// Validates the configuration and strategy, and builds the hierarchy
+    /// the configuration and fault plan denote, constructing every device
+    /// model once.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when the [`SystemConfig`] fails
-    /// [`SystemConfig::validate`], the [`FaultPlan`] fails
-    /// [`FaultPlan::validate`], device-model construction fails, or a
-    /// parallel strategy requests zero threads. This is the single
-    /// validation point: sessions never panic on construction input.
+    /// [`SystemConfig::validate`] or [`HierarchyInstance::build`] (power
+    /// gating on a DRAM edge memory, device-model validation), the
+    /// [`FaultPlan`] fails [`FaultPlan::validate`], or a parallel strategy
+    /// requests zero threads. This is the single validation point:
+    /// sessions never panic on construction input.
     pub fn build(self) -> Result<SimulationSession, CoreError> {
         self.config.validate()?;
-        let mut spec = HierarchySpec::lower(&self.config);
-        spec.faults = self.faults;
-        let hierarchy = HierarchyInstance::build(spec)?;
+        let hierarchy = HierarchyInstance::build(&self.config, self.faults)?;
         if let ExecutionStrategy::Parallel { threads: 0 } = self.strategy {
             return Err(CoreError::InvalidConfig {
                 message: "parallel execution needs at least one thread".into(),
@@ -189,7 +187,7 @@ impl SimulationSession {
         self.strategy
     }
 
-    /// The memory hierarchy the configuration lowered into: every device
+    /// The memory hierarchy built from the configuration: every device
     /// model was constructed once at [`build`](SessionBuilder::build) time
     /// and is reused by every run of this session.
     pub fn hierarchy(&self) -> &HierarchyInstance {
@@ -284,11 +282,15 @@ mod tests {
 
     #[test]
     fn builder_validates_config_up_front() {
-        let bad = SystemConfig::hyve().with_num_pus(0);
-        assert!(matches!(
-            SimulationSession::builder(bad).build(),
-            Err(CoreError::InvalidConfig { .. })
-        ));
+        for bad in [
+            SystemConfig::hyve().with_num_pus(0),
+            SystemConfig::acc_dram().with_power_gating(true),
+        ] {
+            assert!(matches!(
+                SimulationSession::builder(bad).build(),
+                Err(CoreError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn arb_config() -> impl Strategy<Value = SystemConfig> {
             let cfg = base.with_dataset_scale(1 << scale_exp);
             // Only toggle optimizations where legal (gating needs ReRAM).
             let cfg = cfg.with_data_sharing(sharing);
-            if cfg.edge_memory == hyve_core::EdgeMemoryKind::Reram {
+            if cfg.edge_memory == hyve_core::OffChipTech::Reram {
                 cfg.with_power_gating(gating)
             } else {
                 cfg

@@ -19,10 +19,10 @@ pub use hyve_algorithms::{
     Bfs, ConnectedComponents, EdgeProgram, ExecutionMode, IterationBound, PageRank, SpMv, Sssp,
 };
 pub use hyve_core::{
-    BankRemap, CoreError, EccProfile, EdgeMemoryKind, EnergyBreakdown, ExecutionStrategy,
-    FaultPlan, HierarchyInstance, HierarchySpec, MetricsRecorder, PhaseTimes, ReliabilityReport,
-    RunReport, SessionBuilder, SharedRecorder, SimulationSession, SystemConfig, TraceArtifact,
-    TraceChannel, TraceDiff, TraceEvent, TraceSink, VertexMemoryKind,
+    BankRemap, CoreError, EccProfile, EnergyBreakdown, ExecutionStrategy, FaultPlan,
+    HierarchyInstance, MetricsRecorder, OffChipTech, PhaseTimes, ReliabilityReport, RunReport,
+    SessionBuilder, SharedRecorder, SimulationSession, SystemConfig, TraceArtifact, TraceChannel,
+    TraceDiff, TraceEvent, TraceSink,
 };
 pub use hyve_graph::{
     BlockId, DatasetProfile, DynamicGrid, Edge, EdgeList, FlatGrid, GraphError, GridGraph,
