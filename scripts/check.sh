@@ -16,9 +16,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo bench --no-run"
-cargo bench --workspace --no-run
-
 echo "==> cargo test"
 cargo test -q
 
