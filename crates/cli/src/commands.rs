@@ -641,6 +641,16 @@ mod tests {
     }
 
     #[test]
+    fn gen_rejects_fewer_than_two_vertices() {
+        for v in [0, 1] {
+            let err = exec(&format!("gen --vertices {v} --edges 1 --out unused.txt")).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            assert!(err.to_string().contains("at least 2"), "{err}");
+            assert_eq!(err.exit_code(), 2);
+        }
+    }
+
+    #[test]
     fn gen_and_reload_round_trip() {
         let dir = std::env::temp_dir().join("hyve-cli-test");
         std::fs::create_dir_all(&dir).unwrap();

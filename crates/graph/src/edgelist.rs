@@ -33,6 +33,18 @@ impl EdgeList {
         }
     }
 
+    /// Takes ownership of `edges` without copying or validating them; the
+    /// caller guarantees every endpoint is below `num_vertices`.
+    pub(crate) fn from_vec(num_vertices: u32, edges: Vec<Edge>) -> Self {
+        debug_assert!(edges
+            .iter()
+            .all(|e| e.src.raw() < num_vertices && e.dst.raw() < num_vertices));
+        EdgeList {
+            num_vertices,
+            edges,
+        }
+    }
+
     /// Builds an edge list from an iterator, validating vertex ranges.
     ///
     /// # Errors

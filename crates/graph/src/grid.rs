@@ -155,9 +155,7 @@ impl GridGraph {
     /// Flattens the grid back into an edge list (inverse of partitioning,
     /// up to edge order).
     pub fn to_edge_list(&self) -> EdgeList {
-        let mut list = EdgeList::new(self.num_vertices());
-        list.extend(self.flat.iter_edges());
-        list
+        EdgeList::from_vec(self.num_vertices(), self.flat.iter_edges().collect())
     }
 }
 

@@ -149,9 +149,7 @@ pub fn parse<R: BufRead>(reader: R) -> Result<EdgeList, GraphError> {
         None if edges.is_empty() => 0,
         None => max_vertex + 1,
     };
-    let mut list = EdgeList::new(num_vertices);
-    list.extend(edges);
-    Ok(list)
+    Ok(EdgeList::from_vec(num_vertices, edges))
 }
 
 /// Writes an edge list in SNAP format. Weights are emitted only when ≠ 1.0.
