@@ -25,9 +25,24 @@ cargo test --workspace -q
 echo "==> golden reports"
 cargo test -q --test golden_reports
 
-echo "==> trace smoke (run --trace, report, self-diff)"
+echo "==> generator smoke (one vertex exits 2 instead of hanging; gen writes every edge)"
+cargo build -q --release --offline -p hyve-cli
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
+status=0
+timeout 10 ./target/release/hyve-cli gen --vertices 1 --edges 1 --out "$trace_dir/gen.txt" \
+  2>/dev/null || status=$?
+[ "$status" -eq 2 ] || {
+    echo "hyve-cli gen --vertices 1 exited $status, expected 2" >&2
+    exit 1
+  }
+./target/release/hyve-cli gen --vertices 1000 --edges 5000 --out "$trace_dir/gen.txt" \
+  | grep -q "wrote 5000 edges" || {
+    echo "hyve-cli gen did not write 5000 edges" >&2
+    exit 1
+  }
+
+echo "==> trace smoke (run --trace, report, self-diff)"
 ./target/release/hyve-cli run --alg pr --dataset yt --iters 3 \
   --trace "$trace_dir/smoke.jsonl" >/dev/null
 ./target/release/hyve-cli report "$trace_dir/smoke.jsonl" >/dev/null
