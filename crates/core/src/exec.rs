@@ -104,15 +104,6 @@ where
     });
 }
 
-/// One non-empty block, as [`BlockPlan::build`] buckets it by destination.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    src: u32,
-    /// Index into [`FlatGrid::blocks`].
-    block: u32,
-    edges: u64,
-}
-
 /// Per-run static-cost memo over the block grid.
 ///
 /// Algorithm 2's schedule is a pure function of `(P, N)`, and every
@@ -139,11 +130,11 @@ impl BlockPlan {
     /// At (sy, sx, step) PU `pu` owns the block
     /// (sx·N + (pu+step) mod N, sy·N + pu): it owns the destination
     /// intervals ≡ pu (mod N), in ascending order, and within each super
-    /// block takes the sources rotated to start at local index `pu`. So
-    /// bucketing the row-major block list by destination interval (stably,
-    /// which keeps each column's sources ascending) and
-    /// rotating each super block's run gives every PU its list in schedule
-    /// order.
+    /// block takes the sources rotated to start at local index `pu`. The
+    /// grid stores its blocks column-major, so each destination's column is
+    /// already a contiguous run of the block list, sources ascending:
+    /// rotating each super block's stretch of that run gives every PU its
+    /// list in schedule order.
     pub(crate) fn build(
         flat: &FlatGrid,
         schedule: &SuperBlockSchedule,
@@ -151,47 +142,54 @@ impl BlockPlan {
     ) -> Self {
         let n = schedule.pus();
         let p = schedule.intervals();
+        let ids = flat.block_ids();
+        // The plan holds block indices as u32.
+        assert!(
+            ids.len() <= u32::MAX as usize,
+            "non-empty block count fits in u32"
+        );
 
-        // columns[d]: the blocks with destination d, by ascending source.
-        // Each cell carries what the passes below read, so they never
-        // chase the row-major list at random.
-        let mut columns = vec![Vec::new(); p as usize];
-        for (block, (id, range)) in flat.blocks().enumerate() {
-            columns[id.dst as usize].push(Cell {
-                src: id.src,
-                block: u32::try_from(block).expect("non-empty block count fits in u32"),
-                edges: range.len() as u64,
-            });
+        // Destination d's column is blocks bounds[d]..bounds[d + 1].
+        let mut bounds = vec![0usize; p as usize + 1];
+        for id in ids {
+            bounds[id.dst as usize + 1] += 1;
+        }
+        for d in 0..p as usize {
+            bounds[d + 1] += bounds[d];
         }
 
         let pu_blocks = fan_out(strategy, n as usize, |pu| {
             let pu = pu as u32;
             let mut blocks = Vec::new();
             for dst in (pu..p).step_by(n as usize) {
-                for run in columns[dst as usize].chunk_by(|a, b| a.src / n == b.src / n) {
-                    let split = run.partition_point(|c| c.src % n < pu);
-                    blocks.extend(run[split..].iter().chain(&run[..split]).map(|c| c.block));
+                let mut at = bounds[dst as usize];
+                let column = &ids[at..bounds[dst as usize + 1]];
+                for run in column.chunk_by(|a, b| a.src / n == b.src / n) {
+                    let split = run.partition_point(|id| id.src % n < pu);
+                    let rotated = (split..run.len()).chain(0..split);
+                    blocks.extend(rotated.map(|k| (at + k) as u32));
+                    at += run.len();
                 }
             }
             blocks
         });
 
         // Block (s, d) runs in step (s − d) mod N of super block
-        // (d/N, s/N). One super-block row at a time, keep each step's
-        // maximum in a P-slot scratch keyed by (sx, step), and sum the
-        // slots it touched (max and sum on u64 are exact in any order).
+        // (d/N, s/N). One super-block row — a contiguous run of the block
+        // list — at a time, keep each step's maximum in a P-slot scratch
+        // keyed by (sx, step), and sum the slots it touched (max and sum on
+        // u64 are exact in any order).
         let mut sync_edges = 0;
         let mut step_max = vec![0u64; p as usize];
         let mut touched = Vec::new();
         for sy in 0..p / n {
-            for dst in sy * n..(sy + 1) * n {
-                for c in &columns[dst as usize] {
-                    let slot = ((c.src / n) * n + (c.src + n - dst % n) % n) as usize;
-                    if step_max[slot] == 0 {
-                        touched.push(slot);
-                    }
-                    step_max[slot] = step_max[slot].max(c.edges);
+            for b in bounds[(sy * n) as usize]..bounds[((sy + 1) * n) as usize] {
+                let (id, range) = flat.block(b);
+                let slot = ((id.src / n) * n + (id.src + n - id.dst % n) % n) as usize;
+                if step_max[slot] == 0 {
+                    touched.push(slot);
                 }
+                step_max[slot] = step_max[slot].max(range.len() as u64);
             }
             for slot in touched.drain(..) {
                 sync_edges += std::mem::take(&mut step_max[slot]);

@@ -16,7 +16,7 @@
 //! materialised count, which a fresh partition of the grown graph
 //! legitimately assigns differently — that is a layout difference, not a
 //! stale cache. Edge mutations keep the vertex→interval map fixed, and
-//! `to_edge_list` (row-major) + the stable counting-sort partition
+//! `to_edge_list` (column-major) + the stable counting-sort partition
 //! reproduce the per-block edge order exactly.
 
 use hyve_algorithms::{reference, Bfs, ConnectedComponents, PageRank};

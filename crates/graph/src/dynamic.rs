@@ -133,7 +133,8 @@ pub struct DynamicGrid {
     /// Interval map of the materialised vertices.
     partition: IntervalPartition,
     /// The blocks that hold or have held edges: those laid out from a grid
-    /// in row-major order, then each block an insertion first touched.
+    /// in its column-major order, then each block an insertion first
+    /// touched.
     blocks: Vec<DynBlock>,
     /// Row-major block number (src interval · P + dst interval) → position
     /// in `blocks`.
@@ -227,11 +228,12 @@ impl DynamicGrid {
         hits
     }
 
-    /// Every stored edge, block by block in row-major order.
+    /// Every stored edge, block by block in column-major order — the order
+    /// a fresh partition stores them in, so snapshots match one.
     fn stored_edges(&self) -> impl Iterator<Item = &Edge> {
         let mut blocks: Vec<&DynBlock> = self.blocks.iter().collect();
-        // The laid-out blocks lead, already row-major, so this stable sort
-        // only sorts the blocks insertions added and merges them in.
+        // The laid-out blocks lead, already column-major, so this stable
+        // sort only sorts the blocks insertions added and merges them in.
         blocks.sort_by_key(|b| b.id);
         blocks.into_iter().flat_map(|b| &b.edges)
     }

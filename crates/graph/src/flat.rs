@@ -3,11 +3,17 @@
 //! The paper's §3.4 layout stores each block as a header plus an edge array,
 //! one block after another in edge memory. `FlatGrid` holds exactly that
 //! stream for the blocks that hold edges: one contiguous edge array split
-//! into parallel `src`/`dst`/`weight` columns, the row-major list of
-//! non-empty block coordinates, and each one's start offset. Empty blocks
-//! take no space, so memory and every walk over the grid are
-//! O(E + non-empty blocks + P), not O(P²) — at the interval counts the
-//! planner picks for PageRank on TW almost all of the P² blocks are empty.
+//! into parallel `src`/`dst`/`weight` columns, the list of non-empty block
+//! coordinates, and each one's start offset. Empty blocks take no space, so
+//! memory and every walk over the grid are O(E + non-empty blocks + P), not
+//! O(P²) — at the interval counts the planner picks for PageRank on TW
+//! almost all of the P² blocks are empty.
+//!
+//! Blocks are stored column-major — by destination interval, then by source
+//! interval ([`BlockId`]'s order). Algorithm 2 gives each PU whole
+//! destination columns and walks each one's sources in turn, so every PU
+//! reads its share of the edge stream as a few long sequential runs rather
+//! than gathering small blocks from across the columns.
 //!
 //! Edges within a block keep the order partitioning or §5's dynamic
 //! updates left them in: a PU's walk, and so every float it accumulates,
@@ -28,7 +34,8 @@ use std::ops::Range;
 /// let grid = GridGraph::partition(&g, 4)?;
 /// let flat = grid.flat();
 /// assert_eq!(flat.block_len(1, 2), 1); // e2.4 in B1.2, as in Fig. 1
-/// assert_eq!(flat.block_ids(), [BlockId::new(0, 3), BlockId::new(1, 2)]);
+/// // Column-major: B1.2 (destination interval 2) precedes B0.3.
+/// assert_eq!(flat.block_ids(), [BlockId::new(1, 2), BlockId::new(0, 3)]);
 /// assert_eq!(flat.num_edges(), 2);
 /// # Ok(())
 /// # }
@@ -36,7 +43,7 @@ use std::ops::Range;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlatGrid {
     p: u32,
-    /// Coordinates of the non-empty blocks, in row-major order.
+    /// Coordinates of the non-empty blocks, in column-major order.
     blocks: Vec<BlockId>,
     /// Start of each non-empty block in the edge columns, plus a final
     /// entry equal to the edge count; length `blocks.len() + 1`.
@@ -50,9 +57,15 @@ pub struct FlatGrid {
 }
 
 impl FlatGrid {
-    /// Builds the storage over edge columns already in row-major block
+    /// Builds the storage over edge columns already in column-major block
     /// order, where `block_of(src, dst)` names an edge's block: one
     /// sequential scan finds the block boundaries and tallies out-degrees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns are not in column-major block order: a block
+    /// out of order would make [`block_range`](Self::block_range) miss it
+    /// and split a PU's column.
     pub(crate) fn from_columns(
         p: u32,
         num_vertices: u32,
@@ -66,7 +79,10 @@ impl FlatGrid {
         for (i, (&s, &d)) in src.iter().zip(&dst).enumerate() {
             let id = block_of(s, d);
             if blocks.last() != Some(&id) {
-                debug_assert!(blocks.last() < Some(&id), "blocks out of row-major order");
+                assert!(
+                    blocks.last() < Some(&id),
+                    "blocks out of column-major order"
+                );
                 blocks.push(id);
                 offsets.push(i);
             }
@@ -107,12 +123,12 @@ impl FlatGrid {
         self.blocks.len()
     }
 
-    /// Coordinates of the non-empty blocks, in row-major order.
+    /// Coordinates of the non-empty blocks, in column-major order.
     pub fn block_ids(&self) -> &[BlockId] {
         &self.blocks
     }
 
-    /// The `i`-th non-empty block (row-major) and its edge-column range.
+    /// The `i`-th non-empty block (column-major) and its edge-column range.
     ///
     /// # Panics
     ///
@@ -121,7 +137,7 @@ impl FlatGrid {
         (self.blocks[i], self.offsets[i]..self.offsets[i + 1])
     }
 
-    /// Iterates the non-empty blocks in row-major order with their
+    /// Iterates the non-empty blocks in column-major order with their
     /// edge-column ranges.
     pub fn blocks(&self) -> impl Iterator<Item = (BlockId, Range<usize>)> + '_ {
         (0..self.blocks.len()).map(|i| self.block(i))
@@ -166,7 +182,7 @@ impl FlatGrid {
             .map(|((&s, &d), &w)| Edge::with_weight(s, d, w))
     }
 
-    /// Iterates every edge, block by block in row-major order.
+    /// Iterates every edge, block by block in column-major order.
     pub fn iter_edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.edges_in(0..self.src.len())
     }
@@ -181,7 +197,7 @@ impl FlatGrid {
     }
 }
 
-/// Edge columns in row-major block order, as [`FlatGrid::from_columns`]
+/// Edge columns in column-major block order, as [`FlatGrid::from_columns`]
 /// takes them.
 #[derive(Debug)]
 pub(crate) struct Columns {
@@ -221,7 +237,20 @@ mod tests {
         let flat = grid.flat();
         assert_eq!(flat.num_intervals(), 4);
         assert_eq!(flat.non_empty_blocks(), 9);
-        assert!(flat.block_ids().windows(2).all(|w| w[0] < w[1]));
+        // Column-major: destination interval first, then source interval.
+        let ids: Vec<(u32, u32)> = flat.block_ids().iter().map(|id| (id.src, id.dst)).collect();
+        let column_major = [
+            (0, 0),
+            (2, 0),
+            (3, 0),
+            (1, 1),
+            (3, 1),
+            (1, 2),
+            (2, 2),
+            (0, 3),
+            (1, 3),
+        ];
+        assert_eq!(ids, column_major);
         let mut covered = 0;
         for (id, range) in flat.blocks() {
             assert!(!range.is_empty(), "only non-empty blocks are listed");
@@ -254,6 +283,16 @@ mod tests {
         let g = fig1();
         let grid = GridGraph::partition(&g, 4).unwrap();
         assert_eq!(grid.flat().out_degrees(), g.out_degrees());
+    }
+
+    #[test]
+    #[should_panic(expected = "blocks out of column-major order")]
+    fn row_major_columns_are_rejected() {
+        // e0.7 (B0.3) then e2.4 (B1.2): row-major, but B1.2 must lead.
+        let mut columns = Columns::with_capacity(2);
+        columns.push(Edge::new(0, 7));
+        columns.push(Edge::new(2, 4));
+        let _ = FlatGrid::from_columns(4, 8, columns, |s, d| BlockId::new(s / 2, d / 2));
     }
 
     #[test]

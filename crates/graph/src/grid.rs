@@ -4,8 +4,10 @@
 //! Each block is a header (source interval index, destination interval
 //! index, edge count) followed by an edge array — the paper's §3.4 layout.
 //! The grid stores only the blocks that hold edges, as one sparse
-//! [`FlatGrid`]; the header charge is still the §3.4 one for all P² blocks
-//! (see [`GridGraph::edge_storage_bits`]). Dynamic updates (§5) go through
+//! [`FlatGrid`], column-major: by destination interval, then by source
+//! interval, the order Algorithm 2's PUs stream them in. The header charge
+//! is still the §3.4 one for all P² blocks (see
+//! [`GridGraph::edge_storage_bits`]). Dynamic updates (§5) go through
 //! [`DynamicGrid`](crate::DynamicGrid), which keeps the per-block slack.
 
 use crate::edgelist::EdgeList;
@@ -50,9 +52,10 @@ impl GridGraph {
 
     /// Partitions with an explicit interval scheme.
     ///
-    /// Two stable counting-sort passes over the edges — by destination
-    /// interval, then by source interval — leave them row-major by block
-    /// and in input order within each block, in O(E + P) time and memory.
+    /// Two stable counting-sort passes over the edges — by source interval,
+    /// then by destination interval — leave them column-major by block (see
+    /// [`BlockId`]) and in input order within each block, in O(E + P) time
+    /// and memory.
     ///
     /// # Errors
     ///
@@ -66,31 +69,31 @@ impl GridGraph {
         let edges = g.edges();
         let n = edges.len();
         let interval = |v: VertexId| partition.interval_of(v);
-        // Pass 1 buckets the edges by destination interval, carrying each
-        // one's source interval; pass 2 re-buckets that sequence by source
-        // interval straight into the edge columns. Both passes read
-        // sequentially and scatter, so no edge is fetched at random.
-        let mut next = bucket_starts(edges.iter().map(|e| interval(e.dst)), p);
-        let mut by_dst = vec![(Edge::new(0, 0), 0u32); n];
+        // Pass 1 buckets the edges by source interval, carrying each one's
+        // destination interval; pass 2 re-buckets that sequence by
+        // destination interval straight into the edge columns. Both passes
+        // read sequentially and scatter, so no edge is fetched at random.
+        let mut next = bucket_starts(edges.iter().map(|e| interval(e.src)), p);
+        let mut by_src = vec![(Edge::new(0, 0), 0u32); n];
         for e in edges {
-            let d = interval(e.dst) as usize;
-            by_dst[next[d]] = (*e, interval(e.src));
-            next[d] += 1;
+            let s = interval(e.src) as usize;
+            by_src[next[s]] = (*e, interval(e.dst));
+            next[s] += 1;
         }
-        let mut next = bucket_starts(by_dst.iter().map(|&(_, s)| s), p);
+        let mut next = bucket_starts(by_src.iter().map(|&(_, d)| d), p);
         let mut columns = Columns {
             src: vec![0; n],
             dst: vec![0; n],
             weight: vec![0.0; n],
         };
-        for &(e, s) in &by_dst {
-            let at = next[s as usize];
+        for &(e, d) in &by_src {
+            let at = next[d as usize];
             columns.src[at] = e.src.raw();
             columns.dst[at] = e.dst.raw();
             columns.weight[at] = e.weight;
-            next[s as usize] += 1;
+            next[d as usize] += 1;
         }
-        drop(by_dst);
+        drop(by_src);
         let flat = FlatGrid::from_columns(p, g.num_vertices(), columns, |s, d| {
             BlockId::new(interval(VertexId::new(s)), interval(VertexId::new(d)))
         });
@@ -153,7 +156,9 @@ impl GridGraph {
     }
 
     /// Flattens the grid back into an edge list (inverse of partitioning,
-    /// up to edge order).
+    /// up to edge order): the edges come out in the grid's column-major
+    /// block order — by destination interval, then by source interval — and
+    /// in stored order within each block.
     pub fn to_edge_list(&self) -> EdgeList {
         EdgeList::from_vec(self.num_vertices(), self.flat.iter_edges().collect())
     }

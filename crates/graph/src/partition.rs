@@ -11,12 +11,20 @@ use crate::error::GraphError;
 use crate::types::{Edge, VertexId};
 
 /// Coordinates of one block in the P×P grid.
+///
+/// The fields are declared destination first, so the derived `Ord` is the
+/// grid's column-major block order — by destination interval, then by
+/// source interval. That is the order Algorithm 2 walks the blocks in (a PU
+/// owns whole destination columns), and the one order [`FlatGrid`] stores
+/// and searches its blocks by.
+///
+/// [`FlatGrid`]: crate::FlatGrid
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId {
-    /// Source interval index.
-    pub src: u32,
     /// Destination interval index.
     pub dst: u32,
+    /// Source interval index.
+    pub src: u32,
 }
 
 impl BlockId {

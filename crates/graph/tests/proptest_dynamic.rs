@@ -40,14 +40,14 @@ fn mutation((kind, a, b): OpSpec, nv: u32) -> Mutation {
     }
 }
 
-/// An edge as (src, dst) and a block as (src interval, dst interval).
+/// An edge as (src, dst) and a block as (dst interval, src interval).
 type Pair = (u32, u32);
 
-/// Non-empty blocks with their edge sequences, row-major.
+/// Non-empty blocks with their edge sequences, column-major.
 type Layout = Vec<(Pair, Vec<Pair>)>;
 
 /// §5 by hand: one `Vec` and one reserved capacity per block, keyed by
-/// block coordinates, so a `BTreeMap` walk is row-major.
+/// (dst interval, src interval), so a `BTreeMap` walk is column-major.
 struct Model {
     p: u32,
     scheme: PartitionScheme,
@@ -87,7 +87,7 @@ impl Model {
         self.slots = (f64::from(self.logical) * self.reserve).ceil() as u32;
         self.blocks.clear();
         for (s, d) in edges {
-            let id = (self.interval(s), self.interval(d));
+            let id = (self.interval(d), self.interval(s));
             self.blocks.entry(id).or_default().0.push((s, d));
         }
         for (edges, reserved) in self.blocks.values_mut() {
@@ -116,7 +116,7 @@ impl Model {
                 if !live(s) || !live(d) || self.dead.contains(&s) || self.dead.contains(&d) {
                     return Err(());
                 }
-                let id = (self.interval(s), self.interval(d));
+                let id = (self.interval(d), self.interval(s));
                 // A block empty so far has the minimal 4-slot space.
                 let (edges, reserved) = self.blocks.entry(id).or_insert((Vec::new(), 4));
                 edges.push((s, d));
@@ -130,7 +130,7 @@ impl Model {
                 if !live(src) || !live(dst) {
                     return Err(());
                 }
-                let id = (self.interval(src), self.interval(dst));
+                let id = (self.interval(dst), self.interval(src));
                 let (edges, _) = self.blocks.get_mut(&id).ok_or(())?;
                 let i = edges.iter().position(|&e| e == (src, dst)).ok_or(())?;
                 edges.swap_remove(i);
@@ -155,7 +155,7 @@ impl Model {
         }
     }
 
-    /// Non-empty blocks and their edge sequences, row-major.
+    /// Non-empty blocks and their edge sequences, column-major.
     fn non_empty(&self) -> Layout {
         self.blocks
             .iter()
@@ -165,13 +165,13 @@ impl Model {
     }
 }
 
-/// A grid's non-empty blocks and their edge sequences, row-major.
+/// A grid's non-empty blocks and their edge sequences, in stored order.
 fn non_empty(grid: &GridGraph) -> Layout {
     let flat = grid.flat();
     flat.blocks()
         .map(|(id, range)| {
             let edges = flat.edges_in(range).map(|e| (e.src.raw(), e.dst.raw()));
-            ((id.src, id.dst), edges.collect())
+            ((id.dst, id.src), edges.collect())
         })
         .collect()
 }

@@ -7,6 +7,7 @@ use hyve_graph::{
     PartitionScheme, VertexId,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Random (num_vertices, edges) pair with valid endpoints.
 fn arb_graph() -> impl Strategy<Value = EdgeList> {
@@ -52,7 +53,7 @@ proptest! {
     }
 
     /// Every edge lands in the block its endpoints' intervals dictate: the
-    /// sparse grid equals a naive stable row-major bucketing, with the same
+    /// sparse grid equals a naive stable bucketing, with the same
     /// edge sequence in every block (empty ones included), the same
     /// non-empty block count, and the same §3.4 storage charge summed
     /// block by block.
@@ -87,6 +88,38 @@ proptest! {
             .flat_map(|(_, r)| grid.flat().edges_in(r))
             .collect();
         prop_assert_eq!(listed, grid.flat().iter_edges().collect::<Vec<_>>());
+    }
+
+    /// Fresh partitions under either scheme, and `DynamicGrid` snapshots
+    /// after edge additions (new blocks included), removals and
+    /// repartitions, all store their blocks column-major.
+    #[test]
+    fn blocks_are_stored_column_major(
+        g in arb_graph(),
+        p in 1u32..16,
+        round_robin in proptest::bool::ANY,
+        ops in proptest::collection::vec((0u8..3, 0u32..200, 0u32..200), 0..60),
+    ) {
+        let p = p.min(g.num_vertices());
+        let scheme = if round_robin {
+            PartitionScheme::RoundRobin
+        } else {
+            PartitionScheme::Contiguous
+        };
+        let grid = GridGraph::partition_with_scheme(&g, p, scheme).unwrap();
+        check_column_major(&grid)?;
+        let mut dynamic = DynamicGrid::new(grid, 0.05);
+        for (kind, a, b) in ops {
+            let nv = dynamic.num_vertices();
+            let (src, dst) = (a % nv, b % nv);
+            let m = match kind {
+                0 => Mutation::AddEdge(Edge::new(src, dst)),
+                1 => Mutation::RemoveEdge { src, dst },
+                _ => Mutation::AddVertex,
+            };
+            let _ = dynamic.apply(m);
+            check_column_major(dynamic.grid())?;
+        }
     }
 
     /// interval_of / local_index / global_index form a bijection.
@@ -217,4 +250,19 @@ proptest! {
             prop_assert_eq!(dynamic.degree(VertexId::new(v as u32)), d);
         }
     }
+}
+
+/// The grid's non-empty blocks strictly increase in (dst interval, src
+/// interval), and `block_range` finds each listed block at its listed range.
+fn check_column_major(grid: &GridGraph) -> Result<(), TestCaseError> {
+    let flat = grid.flat();
+    let keys: Vec<(u32, u32)> = flat.block_ids().iter().map(|id| (id.dst, id.src)).collect();
+    prop_assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "blocks not column-major: {keys:?}"
+    );
+    for (id, range) in flat.blocks() {
+        prop_assert_eq!(flat.block_range(id.src, id.dst), range, "block {:?}", id);
+    }
+    Ok(())
 }

@@ -81,4 +81,12 @@ grep -q '"correct": true' <<<"$last" || {
     exit 1
   }
 
+echo "==> dynamic benchmark smoke (column-major snapshots and repartition at scale)"
+last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload dynamic-lj --seconds 1 --trace 0 | tail -n 1)"
+grep -q '"correct": true' <<<"$last" || {
+    echo "perfbench dynamic-lj smoke failed: $last" >&2
+    exit 1
+  }
+
 echo "All checks passed."
