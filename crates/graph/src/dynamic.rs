@@ -281,6 +281,7 @@ impl DynamicGrid {
             self.partition.num_intervals(),
             self.partition.num_vertices(),
             columns,
+            self.blocks.len(),
             |s, d| self.block_of(s, d),
         );
         GridGraph::from_flat(self.partition.clone(), flat)

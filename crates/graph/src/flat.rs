@@ -60,6 +60,7 @@ impl FlatGrid {
     /// Builds the storage over edge columns already in column-major block
     /// order, where `block_of(src, dst)` names an edge's block: one
     /// sequential scan finds the block boundaries and tallies out-degrees.
+    /// The block index starts with room for `num_blocks` blocks.
     ///
     /// # Panics
     ///
@@ -70,11 +71,12 @@ impl FlatGrid {
         p: u32,
         num_vertices: u32,
         columns: Columns,
+        num_blocks: usize,
         block_of: impl Fn(u32, u32) -> BlockId,
     ) -> Self {
         let Columns { src, dst, weight } = columns;
-        let mut blocks: Vec<BlockId> = Vec::new();
-        let mut offsets = Vec::new();
+        let mut blocks: Vec<BlockId> = Vec::with_capacity(num_blocks);
+        let mut offsets = Vec::with_capacity(num_blocks + 1);
         let mut out_degrees = vec![0u32; num_vertices as usize];
         for (i, (&s, &d)) in src.iter().zip(&dst).enumerate() {
             let id = block_of(s, d);
@@ -222,6 +224,23 @@ impl Columns {
         self.dst.push(e.dst.raw());
         self.weight.push(e.weight);
     }
+
+    /// Replaces every edge with a copy of `other`'s edges in `range`.
+    pub(crate) fn copy_range(&mut self, other: &Columns, range: Range<usize>) {
+        self.src.clear();
+        self.src.extend_from_slice(&other.src[range.clone()]);
+        self.dst.clear();
+        self.dst.extend_from_slice(&other.dst[range.clone()]);
+        self.weight.clear();
+        self.weight.extend_from_slice(&other.weight[range]);
+    }
+
+    /// Overwrites edge `at` with `other`'s edge `from`.
+    pub(crate) fn set(&mut self, at: usize, other: &Columns, from: usize) {
+        self.src[at] = other.src[from];
+        self.dst[at] = other.dst[from];
+        self.weight[at] = other.weight[from];
+    }
 }
 
 #[cfg(test)]
@@ -292,7 +311,7 @@ mod tests {
         let mut columns = Columns::with_capacity(2);
         columns.push(Edge::new(0, 7));
         columns.push(Edge::new(2, 4));
-        let _ = FlatGrid::from_columns(4, 8, columns, |s, d| BlockId::new(s / 2, d / 2));
+        let _ = FlatGrid::from_columns(4, 8, columns, 2, |s, d| BlockId::new(s / 2, d / 2));
     }
 
     #[test]

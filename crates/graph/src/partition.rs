@@ -32,11 +32,6 @@ impl BlockId {
     pub fn new(src: u32, dst: u32) -> Self {
         BlockId { src, dst }
     }
-
-    /// Row-major linear index within a P×P grid.
-    pub fn linear(self, p: u32) -> usize {
-        self.src as usize * p as usize + self.dst as usize
-    }
 }
 
 /// How vertices map to intervals.
@@ -359,12 +354,6 @@ mod tests {
     fn interval_of_out_of_range_panics() {
         let p = contiguous(4, 2);
         let _ = p.interval_of(VertexId::new(4));
-    }
-
-    #[test]
-    fn block_linear_index() {
-        let b = BlockId::new(2, 3);
-        assert_eq!(b.linear(4), 11);
     }
 
     #[test]

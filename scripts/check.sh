@@ -81,6 +81,14 @@ grep -q '"correct": true' <<<"$last" || {
     exit 1
   }
 
+echo "==> P = 5096 benchmark smoke (TW partition, flatten and sweep at the planner's P)"
+last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload accum-tw --seconds 1 --trace 0 | tail -n 1)"
+grep -q '"correct": true' <<<"$last" || {
+    echo "perfbench accum-tw smoke failed: $last" >&2
+    exit 1
+  }
+
 echo "==> dynamic benchmark smoke (column-major snapshots and repartition at scale)"
 last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
   --workload dynamic-lj --seconds 1 --trace 0 | tail -n 1)"
