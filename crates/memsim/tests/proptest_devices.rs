@@ -43,6 +43,20 @@ proptest! {
         }
     }
 
+    /// Bursts are additive: a stream of `k` full bursts costs `k` times one
+    /// burst, so an aggregate charge equals the burst-by-burst sum.
+    #[test]
+    fn burst_energy_is_additive(k in 1u64..100_000) {
+        let reram = ReramChip::new(ReramChipConfig::default());
+        let dram = DramChip::new(DramChipConfig::default());
+        for dev in [&reram as &dyn MemoryDevice, &dram] {
+            let burst = u64::from(dev.output_bits());
+            let one = dev.read_energy(burst).as_pj();
+            let many = dev.read_energy(k * burst).as_pj();
+            prop_assert!((many - one * k as f64).abs() <= many * 1e-9);
+        }
+    }
+
     /// Random accesses never cost less than sequential ones.
     #[test]
     fn random_at_least_sequential(bits in 1u64..10_000) {
