@@ -60,8 +60,9 @@ fn parse_header(trimmed: &str, line: usize) -> Option<Result<DeclaredCounts, Gra
 /// # Errors
 ///
 /// [`GraphError::Parse`] with the 1-based line number on malformed rows,
-/// non-finite weights, I/O failure, a malformed header, or an edge count
-/// that contradicts a header (truncated file);
+/// non-finite weights, I/O failure, a malformed header, an edge count
+/// that contradicts a header (truncated file), or, without a header, the
+/// vertex id `u32::MAX` (its count would not fit in a `u32`);
 /// [`GraphError::VertexOutOfRange`] when an edge references a vertex at or
 /// beyond a header's declared count.
 pub fn parse<R: BufRead>(reader: R) -> Result<EdgeList, GraphError> {
@@ -128,6 +129,13 @@ pub fn parse<R: BufRead>(reader: R) -> Result<EdgeList, GraphError> {
                     message: format!("more edges than the {} the header declares", d.edges),
                 });
             }
+        } else if src == u32::MAX || dst == u32::MAX {
+            // Without a header the count is the largest id plus one, which
+            // must itself fit in a `u32`.
+            return Err(GraphError::Parse {
+                line: idx + 1,
+                message: format!("vertex id {} leaves no room for a vertex count", u32::MAX),
+            });
         }
         max_vertex = max_vertex.max(src).max(dst);
         edges.push(Edge::with_weight(src, dst, weight));
@@ -191,6 +199,19 @@ mod tests {
     fn parses_weights() {
         let g = parse("0 1 2.5\n".as_bytes()).unwrap();
         assert_eq!(g.edges()[0].weight, 2.5);
+    }
+
+    #[test]
+    fn rejects_the_largest_vertex_id_without_a_header() {
+        for (text, want) in [("0 4294967295\n", 1), ("1 2\n4294967295 0\n", 2)] {
+            match parse(text.as_bytes()) {
+                Err(GraphError::Parse { line, .. }) => assert_eq!(line, want, "{text:?}"),
+                other => panic!("{text:?} parsed as {other:?}"),
+            }
+        }
+        // The largest id that still leaves a vertex count is accepted.
+        let g = parse("4294967294 0\n".as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), u32::MAX);
     }
 
     #[test]
