@@ -8,7 +8,7 @@
 use crate::program::{EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
 use hyve_graph::{Edge, VertexId};
 
-/// PageRank with damping factor 0.85 (overridable).
+/// PageRank with damping factor [`PageRank::DAMPING`].
 ///
 /// ```
 /// use hyve_algorithms::{run_in_memory, GraphMeta, PageRank};
@@ -23,37 +23,19 @@ use hyve_graph::{Edge, VertexId};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageRank {
     iterations: u32,
-    damping: f32,
     tolerance: Option<f32>,
 }
 
 impl PageRank {
+    /// The damping factor `d`.
+    pub const DAMPING: f32 = 0.85;
+
     /// Creates a PageRank program running a fixed number of iterations.
     pub fn new(iterations: u32) -> Self {
         PageRank {
             iterations,
-            damping: 0.85,
             tolerance: None,
         }
-    }
-
-    /// Overrides the damping factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < damping < 1`.
-    pub fn with_damping(mut self, damping: f32) -> Self {
-        assert!(
-            damping > 0.0 && damping < 1.0,
-            "damping must lie strictly between 0 and 1"
-        );
-        self.damping = damping;
-        self
-    }
-
-    /// The damping factor.
-    pub fn damping(&self) -> f32 {
-        self.damping
     }
 
     /// Switches from the paper's fixed-iteration schedule to convergence
@@ -137,7 +119,7 @@ impl EdgeProgram for PageRank {
     }
 
     fn apply(&self, _v: VertexId, acc: f32, prev: f32, meta: &GraphMeta) -> f32 {
-        let next = (1.0 - self.damping) / meta.num_vertices as f32 + self.damping * acc;
+        let next = (1.0 - Self::DAMPING) / meta.num_vertices as f32 + Self::DAMPING * acc;
         match self.tolerance {
             // Holding the previous rank when the step is within tolerance
             // makes "no vertex changed" exactly the convergence criterion
@@ -185,16 +167,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "damping")]
-    fn damping_validated() {
-        let _ = PageRank::new(1).with_damping(1.5);
-    }
-
-    #[test]
     fn default_is_paper_config() {
         let pr = PageRank::default();
         assert_eq!(pr.bound(), IterationBound::Fixed(10));
-        assert_eq!(pr.damping(), 0.85);
         assert_eq!(pr.tolerance(), None);
         assert_eq!(pr.name(), "PR");
         assert_eq!(pr.value_bits(), 64);

@@ -469,7 +469,7 @@ impl SimulationSession {
                     for local in scratch.iter().filter(|s| s.active) {
                         for (i, _) in local.touched.iter().enumerate().filter(|(_, t)| **t) {
                             for v in partition.interval_vertices(i as u32) {
-                                let vi = v.index();
+                                let vi = v as usize;
                                 let cur = values[vi];
                                 let merged = program.merge(cur, local.values[vi]);
                                 if registers_change(&cur, &merged) {

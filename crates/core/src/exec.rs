@@ -221,7 +221,7 @@ impl BlockPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyve_graph::{DatasetProfile, GridGraph, PartitionScheme};
+    use hyve_graph::{DatasetProfile, GridGraph};
 
     #[test]
     fn fan_out_preserves_task_order_for_any_thread_count() {
@@ -267,44 +267,42 @@ mod tests {
     fn plan_matches_schedule_iteration() {
         let graph = DatasetProfile::youtube_scaled().generate(3);
         for (p, n) in [(16, 4), (24, 3), (8, 8), (7, 1), (40, 8)] {
-            for scheme in [PartitionScheme::Contiguous, PartitionScheme::RoundRobin] {
-                let grid = GridGraph::partition_with_scheme(&graph, p, scheme).unwrap();
-                let flat = grid.flat();
-                let schedule = SuperBlockSchedule::new(p, n).unwrap();
-                let plan = BlockPlan::build(flat, &schedule, ExecutionStrategy::Sequential);
-                assert_eq!(plan.num_pus(), n as usize);
+            let grid = GridGraph::partition(&graph, p).unwrap();
+            let flat = grid.flat();
+            let schedule = SuperBlockSchedule::new(p, n).unwrap();
+            let plan = BlockPlan::build(flat, &schedule, ExecutionStrategy::Sequential);
+            assert_eq!(plan.num_pus(), n as usize);
 
-                // Each PU's list is the schedule's order, filtered to the
-                // non-empty blocks.
-                let mut want = vec![Vec::new(); n as usize];
-                for (_, assignments) in schedule.iter() {
-                    for a in assignments {
-                        if flat.block_len(a.src_interval, a.dst_interval) > 0 {
-                            want[a.pu as usize].push((a.src_interval, a.dst_interval));
-                        }
+            // Each PU's list is the schedule's order, filtered to the
+            // non-empty blocks.
+            let mut want = vec![Vec::new(); n as usize];
+            for (_, assignments) in schedule.iter() {
+                for a in assignments {
+                    if flat.block_len(a.src_interval, a.dst_interval) > 0 {
+                        want[a.pu as usize].push((a.src_interval, a.dst_interval));
                     }
                 }
-                for (pu, want) in want.iter().enumerate() {
-                    let ids = plan.blocks(pu).iter().map(|&b| flat.block(b as usize).0);
-                    let got: Vec<_> = ids.map(|id| (id.src, id.dst)).collect();
-                    assert_eq!(&got, want, "P={p} N={n} PU {pu}");
-                }
-                let listed: usize = (0..plan.num_pus()).map(|pu| plan.blocks(pu).len()).sum();
-                assert_eq!(listed, grid.non_empty_blocks());
-
-                // The sync cost matches a direct scan over the schedule.
-                let direct: u64 = schedule
-                    .iter()
-                    .map(|(_, assignments)| {
-                        assignments
-                            .iter()
-                            .map(|a| flat.block_len(a.src_interval, a.dst_interval) as u64)
-                            .max()
-                            .unwrap_or(0)
-                    })
-                    .sum();
-                assert_eq!(plan.sync_edges(), direct, "P={p} N={n}");
             }
+            for (pu, want) in want.iter().enumerate() {
+                let ids = plan.blocks(pu).iter().map(|&b| flat.block(b as usize).0);
+                let got: Vec<_> = ids.map(|id| (id.src, id.dst)).collect();
+                assert_eq!(&got, want, "P={p} N={n} PU {pu}");
+            }
+            let listed: usize = (0..plan.num_pus()).map(|pu| plan.blocks(pu).len()).sum();
+            assert_eq!(listed, grid.non_empty_blocks());
+
+            // The sync cost matches a direct scan over the schedule.
+            let direct: u64 = schedule
+                .iter()
+                .map(|(_, assignments)| {
+                    assignments
+                        .iter()
+                        .map(|a| flat.block_len(a.src_interval, a.dst_interval) as u64)
+                        .max()
+                        .unwrap_or(0)
+                })
+                .sum();
+            assert_eq!(plan.sync_edges(), direct, "P={p} N={n}");
         }
     }
 

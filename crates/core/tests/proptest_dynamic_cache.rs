@@ -82,9 +82,7 @@ proptest! {
             }
             prop_assert_eq!(d.grid(), &d.materialize());
         }
-        let scheme = d.grid().partition_info().scheme();
-        let rebuilt =
-            GridGraph::partition_with_scheme(&d.grid().to_edge_list(), p, scheme).unwrap();
+        let rebuilt = GridGraph::partition(&d.grid().to_edge_list(), p).unwrap();
         prop_assert_eq!(d.grid().flat(), rebuilt.flat());
 
         let session = SimulationSession::builder(SystemConfig::hyve().with_num_pus(2))

@@ -1,5 +1,5 @@
 //! Equivalence suite for dirty-interval skipping: for every algorithm,
-//! partition scheme, direction and strategy, a session with skipping
+//! direction and strategy, a session with skipping
 //! enabled produces **bit-identical** output to a full-rescan session —
 //! same values, same iteration count, same per-iteration `changed` flags
 //! (read from each session's trace recorder), and a `RunReport` whose every
@@ -12,7 +12,7 @@
 
 use hyve_algorithms::{Bfs, ConnectedComponents, EdgeProgram, PageRank, SpMv, Sssp};
 use hyve_core::{RunReport, SharedRecorder, SimulationSession, SystemConfig};
-use hyve_graph::{Edge, EdgeList, GridGraph, PartitionScheme, VertexId};
+use hyve_graph::{Edge, EdgeList, GridGraph, VertexId};
 use proptest::prelude::*;
 
 /// Weighted graphs so SSSP exercises non-trivial distances.
@@ -27,16 +27,6 @@ fn arb_graph() -> impl Strategy<Value = EdgeList> {
             );
             g
         })
-    })
-}
-
-fn arb_scheme() -> impl Strategy<Value = PartitionScheme> {
-    proptest::bool::ANY.prop_map(|rr| {
-        if rr {
-            PartitionScheme::RoundRobin
-        } else {
-            PartitionScheme::Contiguous
-        }
     })
 }
 
@@ -112,17 +102,16 @@ proptest! {
 
     /// Skipping ≡ full rescan across all five algorithms (monotone *and*
     /// accumulate — the toggle must be a no-op for accumulate programs
-    /// too), both partition schemes, directed and undirected propagation,
+    /// too), directed and undirected propagation,
     /// and Sequential vs Parallel{1..=8}.
     #[test]
     fn skipping_is_bit_identical_to_full_rescan(
         g in arb_graph(),
-        scheme in arb_scheme(),
         wide in proptest::bool::ANY,
         threads in 0usize..9,
     ) {
         let p = if wide { 16 } else { 8 };
-        let grid = GridGraph::partition_with_scheme(&g, p, scheme).unwrap();
+        let grid = GridGraph::partition(&g, p).unwrap();
         assert_skip_equals_full(&Bfs::new(VertexId::new(0)), &grid, threads);
         assert_skip_equals_full(&Sssp::new(VertexId::new(0)), &grid, threads);
         // CC is undirected: blocks scatter from both interval coordinates.

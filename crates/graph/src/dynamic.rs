@@ -430,11 +430,7 @@ impl DynamicGrid {
             // every logical vertex materialised.
             let mut list = crate::edgelist::EdgeList::new(self.logical_vertices);
             list.extend(self.stored_edges().copied());
-            let grid = GridGraph::partition_with_scheme(
-                &list,
-                self.partition.num_intervals(),
-                self.partition.scheme(),
-            )?;
+            let grid = GridGraph::partition(&list, self.partition.num_intervals())?;
             self.lay_out(&grid);
             self.repartitions += 1;
             Ok(MutationOutcome::Repartitioned)

@@ -131,36 +131,6 @@ impl EdgeList {
         deg
     }
 
-    /// Sorts edges by (destination, source) — the layout edge-centric
-    /// frameworks use to improve destination locality.
-    pub fn sort_by_dst(&mut self) {
-        self.edges
-            .sort_unstable_by_key(|e| (e.dst.raw(), e.src.raw()));
-    }
-
-    /// Sorts edges by (source, destination).
-    pub fn sort_by_src(&mut self) {
-        self.edges
-            .sort_unstable_by_key(|e| (e.src.raw(), e.dst.raw()));
-    }
-
-    /// Removes duplicate (src, dst) pairs, keeping the first weight seen.
-    /// Sorts by source as a side effect.
-    pub fn dedup(&mut self) {
-        self.sort_by_src();
-        self.edges.dedup_by_key(|e| (e.src, e.dst));
-    }
-
-    /// Removes self-loops.
-    pub fn remove_self_loops(&mut self) {
-        self.edges.retain(|e| !e.is_self_loop());
-    }
-
-    /// Consumes the list and returns the raw edge vector.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
-    }
-
     /// Highest vertex id actually referenced, if any edge exists.
     pub fn max_vertex(&self) -> Option<VertexId> {
         self.edges.iter().map(|e| e.src.max(e.dst)).max()
@@ -244,43 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn sorting_orders() {
-        let mut g = sample();
-        g.sort_by_dst();
-        let dsts: Vec<u32> = g.iter().map(|e| e.dst.raw()).collect();
-        let mut sorted = dsts.clone();
-        sorted.sort_unstable();
-        assert_eq!(dsts, sorted);
-
-        g.sort_by_src();
-        let srcs: Vec<u32> = g.iter().map(|e| e.src.raw()).collect();
-        let mut sorted = srcs.clone();
-        sorted.sort_unstable();
-        assert_eq!(srcs, sorted);
-    }
-
-    #[test]
-    fn dedup_removes_duplicates() {
-        let mut g =
-            EdgeList::from_edges(3, [Edge::new(0, 1), Edge::new(0, 1), Edge::new(1, 2)]).unwrap();
-        g.dedup();
-        assert_eq!(g.len(), 2);
-    }
-
-    #[test]
-    fn self_loop_removal() {
-        let mut g = EdgeList::from_edges(3, [Edge::new(0, 0), Edge::new(0, 1)]).unwrap();
-        g.remove_self_loops();
-        assert_eq!(g.len(), 1);
-        assert_eq!(g.edges()[0], Edge::new(0, 1));
-    }
-
-    #[test]
-    fn iteration_and_into_edges() {
+    fn iteration() {
         let g = sample();
         assert_eq!((&g).into_iter().count(), 11);
-        let v = g.clone().into_edges();
-        assert_eq!(v.len(), 11);
     }
 
     #[test]

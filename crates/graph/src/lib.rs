@@ -3,8 +3,9 @@
 //! Everything the HyVE simulator needs to hold and shape graphs:
 //!
 //! * [`EdgeList`] / [`Csr`] — basic containers,
-//! * [`GridGraph`] — the interval-block (P×P) partitioning of §2.1/Fig. 1,
-//!   built in O(E + P) by two stable counting-sort passes,
+//! * [`GridGraph`] — the interval-block (P×P) partitioning of §2.1/Fig. 1
+//!   over contiguous vertex intervals, built in O(E + V + P) by one stable
+//!   scatter and a per-column sort,
 //! * [`FlatGrid`] — a grid's edge storage: §3.4's contiguous edge stream as
 //!   structure-of-arrays columns, over the non-empty blocks only, so memory
 //!   and walks are O(E + non-empty blocks + P) rather than O(P²),
@@ -54,6 +55,6 @@ pub use error::GraphError;
 pub use flat::FlatGrid;
 pub use generate::{ErdosRenyi, Rmat};
 pub use grid::GridGraph;
-pub use partition::{block_sparsity, BlockId, IntervalPartition, PartitionScheme, SparsityStats};
+pub use partition::{block_sparsity, BlockId, IntervalPartition, SparsityStats};
 pub use stats::DegreeStats;
 pub use types::{Edge, VertexId};

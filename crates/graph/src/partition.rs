@@ -1,14 +1,16 @@
 //! Interval-block partitioning (paper §2.1, Fig. 1).
 //!
-//! Vertices are divided into `P` *intervals*; edges into `P²` *blocks*:
-//! edge `(s, d)` lands in block `(interval(s), interval(d))`. HyVE adopts the
-//! hash-based (round-robin) assignment of ForeGraph/GraphH to balance
-//! workloads across processing units (§4.3); contiguous ranges are also
-//! provided for comparison and for GraphR-style index partitioning.
+//! Vertices are divided into `P` *intervals* of contiguous ids; edges into
+//! `P²` *blocks*: edge `(s, d)` lands in block `(interval(s), interval(d))`.
+//! This is the interval-block layout of Fig. 1 and §3.4, and the only one
+//! the simulator builds. The paper balances per-PU work by hashing vertices
+//! to intervals (§4.3); no experiment here reads that variant, so it is not
+//! modelled.
 
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
 use crate::types::{Edge, VertexId};
+use std::ops::Range;
 
 /// Coordinates of one block in the P×P grid.
 ///
@@ -34,26 +36,17 @@ impl BlockId {
     }
 }
 
-/// How vertices map to intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PartitionScheme {
-    /// Contiguous index ranges (GridGraph/NXgraph style, paper Fig. 1).
-    #[default]
-    Contiguous,
-    /// Round-robin by index — the hash-based balancing of ForeGraph/GraphH
-    /// that HyVE uses to equalise per-PU work (§4.3).
-    RoundRobin,
-}
-
-/// A partition of `num_vertices` vertices into `num_intervals` intervals.
+/// A partition of `num_vertices` vertices into `num_intervals` intervals of
+/// contiguous ids: interval `i` holds `i·⌈V/P⌉ .. (i+1)·⌈V/P⌉`, clipped to
+/// `V`, so the last interval may be shorter and any past `V` are empty.
 ///
 /// ```
-/// use hyve_graph::{IntervalPartition, PartitionScheme, VertexId};
+/// use hyve_graph::{IntervalPartition, VertexId};
 ///
 /// # fn main() -> Result<(), hyve_graph::GraphError> {
-/// let p = IntervalPartition::new(8, 4, PartitionScheme::Contiguous)?;
+/// let p = IntervalPartition::new(8, 4)?;
 /// assert_eq!(p.interval_of(VertexId::new(5)), 2);
-/// assert_eq!(p.interval_len(3), 2);
+/// assert_eq!(p.interval_vertices(3), 6..8);
 /// # Ok(())
 /// # }
 /// ```
@@ -61,8 +54,7 @@ pub enum PartitionScheme {
 pub struct IntervalPartition {
     num_vertices: u32,
     num_intervals: u32,
-    scheme: PartitionScheme,
-    /// Ceiling of vertices per interval (contiguous scheme).
+    /// Ceiling of vertices per interval.
     stride: u32,
 }
 
@@ -74,11 +66,7 @@ impl IntervalPartition {
     /// [`GraphError::EmptyGraph`] for zero vertices;
     /// [`GraphError::InvalidPartition`] when `num_intervals` is zero or
     /// exceeds the vertex count.
-    pub fn new(
-        num_vertices: u32,
-        num_intervals: u32,
-        scheme: PartitionScheme,
-    ) -> Result<Self, GraphError> {
+    pub fn new(num_vertices: u32, num_intervals: u32) -> Result<Self, GraphError> {
         if num_vertices == 0 {
             return Err(GraphError::EmptyGraph);
         }
@@ -97,7 +85,6 @@ impl IntervalPartition {
         Ok(IntervalPartition {
             num_vertices,
             num_intervals,
-            scheme,
             stride: num_vertices.div_ceil(num_intervals),
         })
     }
@@ -112,11 +99,6 @@ impl IntervalPartition {
         self.num_intervals
     }
 
-    /// The assignment scheme.
-    pub fn scheme(&self) -> PartitionScheme {
-        self.scheme
-    }
-
     /// Interval that owns vertex `v`.
     ///
     /// # Panics
@@ -128,51 +110,7 @@ impl IntervalPartition {
             "vertex {v} out of range ({} vertices)",
             self.num_vertices
         );
-        match self.scheme {
-            PartitionScheme::Contiguous => v.raw() / self.stride,
-            PartitionScheme::RoundRobin => v.raw() % self.num_intervals,
-        }
-    }
-
-    /// Position of vertex `v` within its interval's local storage.
-    pub fn local_index(&self, v: VertexId) -> u32 {
-        match self.scheme {
-            PartitionScheme::Contiguous => v.raw() % self.stride,
-            PartitionScheme::RoundRobin => v.raw() / self.num_intervals,
-        }
-    }
-
-    /// Reconstructs the global vertex id from (interval, local index).
-    pub fn global_index(&self, interval: u32, local: u32) -> VertexId {
-        match self.scheme {
-            PartitionScheme::Contiguous => VertexId::new(interval * self.stride + local),
-            PartitionScheme::RoundRobin => VertexId::new(local * self.num_intervals + interval),
-        }
-    }
-
-    /// Number of vertices in interval `i`.
-    pub fn interval_len(&self, i: u32) -> u32 {
-        debug_assert!(i < self.num_intervals);
-        match self.scheme {
-            PartitionScheme::Contiguous => {
-                let start = i * self.stride;
-                let end = (start + self.stride).min(self.num_vertices);
-                end.saturating_sub(start)
-            }
-            PartitionScheme::RoundRobin => {
-                let base = self.num_vertices / self.num_intervals;
-                let extra = u32::from(i < self.num_vertices % self.num_intervals);
-                base + extra
-            }
-        }
-    }
-
-    /// Largest interval size (the on-chip memory must hold this many).
-    pub fn max_interval_len(&self) -> u32 {
-        (0..self.num_intervals)
-            .map(|i| self.interval_len(i))
-            .max()
-            .unwrap_or(0)
+        v.raw() / self.stride
     }
 
     /// Block of an edge.
@@ -180,10 +118,11 @@ impl IntervalPartition {
         BlockId::new(self.interval_of(e.src), self.interval_of(e.dst))
     }
 
-    /// Iterates over the vertices of interval `i` in local-index order.
-    pub fn interval_vertices(&self, i: u32) -> impl Iterator<Item = VertexId> + '_ {
-        let len = self.interval_len(i);
-        (0..len).map(move |local| self.global_index(i, local))
+    /// The raw ids of the vertices in interval `i`, in ascending order.
+    pub fn interval_vertices(&self, i: u32) -> Range<u32> {
+        debug_assert!(i < self.num_intervals);
+        let start = i.saturating_mul(self.stride).min(self.num_vertices);
+        start..start.saturating_add(self.stride).min(self.num_vertices)
     }
 }
 
@@ -264,11 +203,7 @@ mod tests {
     use super::*;
 
     fn contiguous(nv: u32, p: u32) -> IntervalPartition {
-        IntervalPartition::new(nv, p, PartitionScheme::Contiguous).unwrap()
-    }
-
-    fn round_robin(nv: u32, p: u32) -> IntervalPartition {
-        IntervalPartition::new(nv, p, PartitionScheme::RoundRobin).unwrap()
+        IntervalPartition::new(nv, p).unwrap()
     }
 
     #[test]
@@ -285,68 +220,38 @@ mod tests {
     }
 
     #[test]
-    fn local_global_round_trip_contiguous() {
+    fn intervals_are_contiguous_ranges() {
         let p = contiguous(10, 3); // stride 4: [0..4), [4..8), [8..10)
-        for v in 0..10 {
-            let v = VertexId::new(v);
-            let i = p.interval_of(v);
-            let l = p.local_index(v);
-            assert_eq!(p.global_index(i, l), v);
-        }
-        assert_eq!(p.interval_len(0), 4);
-        assert_eq!(p.interval_len(2), 2);
-        assert_eq!(p.max_interval_len(), 4);
-    }
-
-    #[test]
-    fn local_global_round_trip_round_robin() {
-        let p = round_robin(10, 3);
-        for v in 0..10 {
-            let v = VertexId::new(v);
-            let i = p.interval_of(v);
-            let l = p.local_index(v);
-            assert_eq!(p.global_index(i, l), v);
-        }
-        // 10 = 3*3 + 1: interval 0 gets the extra vertex.
-        assert_eq!(p.interval_len(0), 4);
-        assert_eq!(p.interval_len(1), 3);
-        assert_eq!(p.interval_len(2), 3);
-    }
-
-    #[test]
-    fn round_robin_is_balanced() {
-        let p = round_robin(1000, 7);
-        let sizes: Vec<u32> = (0..7).map(|i| p.interval_len(i)).collect();
-        let max = *sizes.iter().max().unwrap();
-        let min = *sizes.iter().min().unwrap();
-        assert!(max - min <= 1, "round robin must balance within 1");
-        assert_eq!(sizes.iter().sum::<u32>(), 1000);
+        assert_eq!(p.interval_vertices(0), 0..4);
+        assert_eq!(p.interval_vertices(1), 4..8);
+        assert_eq!(p.interval_vertices(2), 8..10);
+        // Stride 2 covers 10 vertices in five intervals; the sixth is empty.
+        let p = contiguous(10, 6);
+        assert_eq!(p.interval_vertices(5), 10..10);
     }
 
     #[test]
     fn interval_vertices_cover_everything_once() {
-        for scheme in [PartitionScheme::Contiguous, PartitionScheme::RoundRobin] {
-            let p = IntervalPartition::new(23, 5, scheme).unwrap();
-            let mut seen = [false; 23];
-            for i in 0..5 {
-                for v in p.interval_vertices(i) {
-                    assert!(!seen[v.index()], "vertex {v} seen twice");
-                    seen[v.index()] = true;
-                    assert_eq!(p.interval_of(v), i);
-                }
+        let p = contiguous(23, 5);
+        let mut seen = [false; 23];
+        for i in 0..5 {
+            for v in p.interval_vertices(i) {
+                assert!(!seen[v as usize], "vertex {v} seen twice");
+                seen[v as usize] = true;
+                assert_eq!(p.interval_of(VertexId::new(v)), i);
             }
-            assert!(seen.iter().all(|&s| s));
         }
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
     fn invalid_partitions_rejected() {
         assert!(matches!(
-            IntervalPartition::new(0, 1, PartitionScheme::Contiguous),
+            IntervalPartition::new(0, 1),
             Err(GraphError::EmptyGraph)
         ));
-        assert!(IntervalPartition::new(4, 0, PartitionScheme::Contiguous).is_err());
-        assert!(IntervalPartition::new(4, 5, PartitionScheme::Contiguous).is_err());
+        assert!(IntervalPartition::new(4, 0).is_err());
+        assert!(IntervalPartition::new(4, 5).is_err());
     }
 
     #[test]

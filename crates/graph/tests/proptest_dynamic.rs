@@ -6,8 +6,7 @@
 //! naive per-block model of §5.
 
 use hyve_graph::{
-    DynamicGrid, Edge, EdgeList, GridGraph, IntervalPartition, Mutation, MutationOutcome,
-    PartitionScheme, VertexId,
+    DynamicGrid, Edge, EdgeList, GridGraph, IntervalPartition, Mutation, MutationOutcome, VertexId,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
@@ -50,7 +49,6 @@ type Layout = Vec<(Pair, Vec<Pair>)>;
 /// (dst interval, src interval), so a `BTreeMap` walk is column-major.
 struct Model {
     p: u32,
-    scheme: PartitionScheme,
     reserve: f64,
     part: IntervalPartition,
     logical: u32,
@@ -65,12 +63,11 @@ fn slack(len: usize) -> usize {
 }
 
 impl Model {
-    fn new(g: &EdgeList, p: u32, scheme: PartitionScheme, reserve: f64) -> Self {
+    fn new(g: &EdgeList, p: u32, reserve: f64) -> Self {
         let mut m = Model {
             p,
-            scheme,
             reserve,
-            part: IntervalPartition::new(g.num_vertices(), p, scheme).unwrap(),
+            part: IntervalPartition::new(g.num_vertices(), p).unwrap(),
             logical: g.num_vertices(),
             slots: 0,
             dead: HashSet::new(),
@@ -83,7 +80,7 @@ impl Model {
     /// (Re)builds every block from `edges`, materialising all logical
     /// vertices.
     fn lay_out(&mut self, edges: Vec<Pair>) {
-        self.part = IntervalPartition::new(self.logical, self.p, self.scheme).unwrap();
+        self.part = IntervalPartition::new(self.logical, self.p).unwrap();
         self.slots = (f64::from(self.logical) * self.reserve).ceil() as u32;
         self.blocks.clear();
         for (s, d) in edges {
@@ -233,24 +230,18 @@ proptest! {
 
     /// Every outcome — in place, linked overflow, repartition, tombstone or
     /// rejection — and the final per-block edge order match the naive
-    /// per-block model, for both schemes.
+    /// per-block model.
     #[test]
     fn outcomes_match_per_block_model(
         g in arb_graph(),
         p in 1u32..6,
-        round_robin in proptest::bool::ANY,
         reserve in 0usize..3,
         ops in proptest::collection::vec(any::<OpSpec>(), 0..200),
     ) {
-        let scheme = if round_robin {
-            PartitionScheme::RoundRobin
-        } else {
-            PartitionScheme::Contiguous
-        };
         let reserve = [0.0, 0.05, 0.3][reserve];
-        let grid = GridGraph::partition_with_scheme(&g, p, scheme).unwrap();
+        let grid = GridGraph::partition(&g, p).unwrap();
         let mut d = DynamicGrid::new(grid, reserve);
-        let mut model = Model::new(&g, p, scheme, reserve);
+        let mut model = Model::new(&g, p, reserve);
         for (step, op) in ops.into_iter().enumerate() {
             let m = mutation(op, d.num_vertices());
             let got = d.apply(m).map_err(|_| ());

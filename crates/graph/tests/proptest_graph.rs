@@ -3,8 +3,7 @@
 //! sequences agree with a naive multiset model.
 
 use hyve_graph::{
-    block_sparsity, DynamicGrid, Edge, EdgeList, GridGraph, IntervalPartition, Mutation,
-    PartitionScheme, VertexId,
+    block_sparsity, DynamicGrid, Edge, EdgeList, GridGraph, IntervalPartition, Mutation, VertexId,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -26,26 +25,16 @@ fn arb_graph_up_to(max_vertices: u32) -> impl Strategy<Value = EdgeList> {
     })
 }
 
-/// The partition scheme a generated flag picks.
-fn scheme(round_robin: bool) -> PartitionScheme {
-    if round_robin {
-        PartitionScheme::RoundRobin
-    } else {
-        PartitionScheme::Contiguous
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Partitioning then flattening returns exactly the original multiset
-    /// of edges, for any legal interval count (one radix digit or two) and
-    /// either scheme, and tallies the same out-degrees.
+    /// of edges, for any legal interval count (one radix digit or two), and
+    /// tallies the same out-degrees.
     #[test]
-    fn partition_round_trips(g in arb_graph_up_to(400), p in 1u32..300,
-                             round_robin in proptest::bool::ANY) {
+    fn partition_round_trips(g in arb_graph_up_to(400), p in 1u32..300) {
         let p = p.min(g.num_vertices());
-        let grid = GridGraph::partition_with_scheme(&g, p, scheme(round_robin)).unwrap();
+        let grid = GridGraph::partition(&g, p).unwrap();
         prop_assert_eq!(grid.num_edges(), g.len() as u64);
         prop_assert_eq!(grid.num_blocks(), (p as usize).pow(2));
         prop_assert_eq!(grid.flat().out_degrees(), &g.out_degrees()[..]);
@@ -67,10 +56,9 @@ proptest! {
     /// Every edge lands in the block its endpoints' intervals dictate, in
     /// input order, for interval counts of one radix digit or two.
     #[test]
-    fn partition_matches_naive_bucketing(g in arb_graph_up_to(400), p in 1u32..300,
-                                         round_robin in proptest::bool::ANY) {
+    fn partition_matches_naive_bucketing(g in arb_graph_up_to(400), p in 1u32..300) {
         let p = p.min(g.num_vertices());
-        check_naive_bucketing(&g, p, scheme(round_robin))?;
+        check_naive_bucketing(&g, p)?;
     }
 
     /// Every edge points into one destination interval, so one column holds
@@ -82,34 +70,30 @@ proptest! {
     fn partition_of_one_destination_column(
         nv in 2u32..400,
         p in 1u32..300,
-        round_robin in proptest::bool::ANY,
         column in 0u32..400,
         pairs in proptest::collection::vec((0u32..400, 0u32..400), 0..1000),
     ) {
         let p = p.min(nv);
-        let part = IntervalPartition::new(nv, p, scheme(round_robin)).unwrap();
+        let part = IntervalPartition::new(nv, p).unwrap();
         // The interval of a vertex, as contiguous intervals may be empty.
-        let target = part.interval_of(VertexId::new(column % nv));
-        let members: Vec<VertexId> = part.interval_vertices(target).collect();
+        let target = part.interval_vertices(part.interval_of(VertexId::new(column % nv)));
+        let len = target.end - target.start;
         let mut g = EdgeList::new(nv);
-        g.extend(pairs.into_iter().map(|(s, d)| {
-            Edge::new(s % nv, members[d as usize % members.len()].raw())
-        }));
-        check_naive_bucketing(&g, p, scheme(round_robin))?;
+        g.extend(pairs.into_iter().map(|(s, d)| Edge::new(s % nv, target.start + d % len)));
+        check_naive_bucketing(&g, p)?;
     }
 
-    /// Fresh partitions under either scheme, and `DynamicGrid` snapshots
+    /// Fresh partitions, and `DynamicGrid` snapshots
     /// after edge additions (new blocks included), removals and
     /// repartitions, all store their blocks column-major.
     #[test]
     fn blocks_are_stored_column_major(
         g in arb_graph(),
         p in 1u32..16,
-        round_robin in proptest::bool::ANY,
         ops in proptest::collection::vec((0u8..3, 0u32..200, 0u32..200), 0..60),
     ) {
         let p = p.min(g.num_vertices());
-        let grid = GridGraph::partition_with_scheme(&g, p, scheme(round_robin)).unwrap();
+        let grid = GridGraph::partition(&g, p).unwrap();
         check_column_major(&grid)?;
         let mut dynamic = DynamicGrid::new(grid, 0.05);
         for (kind, a, b) in ops {
@@ -125,23 +109,25 @@ proptest! {
         }
     }
 
-    /// interval_of / local_index / global_index form a bijection.
+    /// The intervals tile `0..V` in ascending order, and each interval's
+    /// vertex range is exactly the set of vertices `interval_of` maps to it
+    /// (the ranges are disjoint and cover `0..V`, so membership in one
+    /// direction suffices).
     #[test]
-    fn interval_mapping_is_bijective(nv in 1u32..5000, p in 1u32..64,
-                                     round_robin in proptest::bool::ANY) {
+    fn intervals_tile_the_vertex_range(nv in 1u32..5000, p in 1u32..64) {
         let p = p.min(nv);
-        let part = IntervalPartition::new(nv, p, scheme(round_robin)).unwrap();
-        let mut sizes = 0u32;
+        let part = IntervalPartition::new(nv, p).unwrap();
+        let mut next = 0;
         for i in 0..p {
-            sizes += part.interval_len(i);
+            let range = part.interval_vertices(i);
+            prop_assert_eq!(range.start, next, "interval {} does not follow on", i);
+            prop_assert!(range.start <= range.end);
+            next = range.end;
+            for v in range {
+                prop_assert_eq!(part.interval_of(VertexId::new(v)), i);
+            }
         }
-        prop_assert_eq!(sizes, nv, "interval sizes must cover all vertices");
-        for v in (0..nv).step_by(1 + nv as usize / 257) {
-            let v = VertexId::new(v);
-            let i = part.interval_of(v);
-            prop_assert!(i < p);
-            prop_assert_eq!(part.global_index(i, part.local_index(v)), v);
-        }
+        prop_assert_eq!(next, nv, "intervals must cover all vertices");
     }
 
     /// Block sparsity accounting is conserved: edge counts across non-empty
@@ -254,13 +240,9 @@ proptest! {
 /// in every block (empty ones included), the same non-empty block count,
 /// the same §3.4 storage charge summed block by block, and the same
 /// out-degrees.
-fn check_naive_bucketing(
-    g: &EdgeList,
-    p: u32,
-    scheme: PartitionScheme,
-) -> Result<(), TestCaseError> {
-    let grid = GridGraph::partition_with_scheme(g, p, scheme).unwrap();
-    let part = IntervalPartition::new(g.num_vertices(), p, scheme).unwrap();
+fn check_naive_bucketing(g: &EdgeList, p: u32) -> Result<(), TestCaseError> {
+    let grid = GridGraph::partition(g, p).unwrap();
+    let part = IntervalPartition::new(g.num_vertices(), p).unwrap();
     let mut naive: HashMap<(u32, u32), Vec<Edge>> = HashMap::new();
     for e in g.iter() {
         let key = (part.interval_of(e.src), part.interval_of(e.dst));

@@ -17,6 +17,10 @@ use hyve_model::CrossbarCosts;
 /// GraphR's block dimension: 8×8 vertices per crossbar.
 pub const BLOCK_DIM: u32 = 8;
 
+/// Parallel graph engines (crossbar clusters) processing blocks, matching
+/// HyVE's 8 PUs.
+pub const GRAPH_ENGINES: u32 = 8;
+
 /// The GraphR simulator.
 ///
 /// ```
@@ -33,9 +37,6 @@ pub const BLOCK_DIM: u32 = 8;
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphrEngine {
-    costs: CrossbarCosts,
-    /// Parallel graph engines (crossbar clusters) processing blocks.
-    graph_engines: u32,
     /// GraphR's all-ReRAM memory: global vertex and edge storage.
     reram: ReramChip,
     /// The per-engine register files holding block vertex values.
@@ -43,37 +44,13 @@ pub struct GraphrEngine {
 }
 
 impl GraphrEngine {
-    /// Creates an engine with the paper's GraphR parameters and 8 parallel
-    /// graph engines (matching HyVE's 8 PUs).
+    /// Creates an engine with the paper's GraphR parameters
+    /// ([`CrossbarCosts::default`]) and [`GRAPH_ENGINES`] graph engines.
     pub fn new() -> Self {
         GraphrEngine {
-            costs: CrossbarCosts::default(),
-            graph_engines: 8,
             reram: ReramChip::new(ReramChipConfig::default()),
             regfile: RegisterFile::default(),
         }
-    }
-
-    /// Overrides the crossbar cost parameters.
-    pub fn with_costs(mut self, costs: CrossbarCosts) -> Self {
-        self.costs = costs;
-        self
-    }
-
-    /// Overrides the number of parallel graph engines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_graph_engines(mut self, n: u32) -> Self {
-        assert!(n > 0, "need at least one graph engine");
-        self.graph_engines = n;
-        self
-    }
-
-    /// The crossbar cost parameters in use.
-    pub fn costs(&self) -> &CrossbarCosts {
-        &self.costs
     }
 
     /// Runs a program, returning the cost report.
@@ -118,7 +95,7 @@ impl GraphrEngine {
         sparsity: &SparsityStats,
         iterations: u32,
     ) -> RunReport {
-        let c = &self.costs;
+        let c = CrossbarCosts::default();
         let nv = u64::from(graph.num_vertices());
         let ne = graph.len() as u64;
         let neb = sparsity.non_empty_blocks;
@@ -152,7 +129,7 @@ impl GraphrEngine {
 
         // Processing time: writes serialise per engine; one read per block.
         let proc_time = (c.write_latency * traversals as f64 + c.read_latency * neb as f64)
-            / f64::from(self.graph_engines);
+            / f64::from(GRAPH_ENGINES);
 
         // ---- vertex storage (Eq. 9) --------------------------------------
         // Global ReRAM: 16 sequential vertex reads per non-empty block,
@@ -297,18 +274,6 @@ mod tests {
         assert!(engine.run(&ConnectedComponents::new(), &g).is_ok());
         assert!(engine.run(&Sssp::new(VertexId::new(0)), &g).is_ok());
         assert!(engine.run(&SpMv::new(), &g).is_ok());
-    }
-
-    #[test]
-    fn more_graph_engines_cut_delay_not_energy() {
-        let g = graph();
-        let slow = GraphrEngine::new().with_graph_engines(1);
-        let fast = GraphrEngine::new().with_graph_engines(16);
-        let rs = slow.run(&SpMv::new(), &g).unwrap();
-        let rf = fast.run(&SpMv::new(), &g).unwrap();
-        assert!(rf.elapsed() < rs.elapsed());
-        // Dynamic energy identical; only background-over-time shrinks.
-        assert!(rf.energy() <= rs.energy());
     }
 
     #[test]

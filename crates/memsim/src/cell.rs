@@ -167,35 +167,6 @@ impl ReramCellParams {
     }
 }
 
-/// SRAM cell parameters (paper §7.1: 1.31 F access transistor width,
-/// 146 F² cell area, 22 nm process).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SramCellParams {
-    /// Access CMOS width in feature sizes (F).
-    pub access_cmos_width_f: f64,
-    /// Cell area in F².
-    pub cell_area_f2: f64,
-    /// Process feature size in nanometres.
-    pub process_nm: f64,
-}
-
-impl Default for SramCellParams {
-    fn default() -> Self {
-        SramCellParams {
-            access_cmos_width_f: 1.31,
-            cell_area_f2: 146.0,
-            process_nm: 22.0,
-        }
-    }
-}
-
-impl SramCellParams {
-    /// Physical area of one cell in square nanometres.
-    pub fn cell_area_nm2(&self) -> f64 {
-        self.cell_area_f2 * self.process_nm * self.process_nm
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,13 +230,6 @@ mod tests {
             ..Default::default()
         }; // below read voltage
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn sram_cell_area() {
-        let s = SramCellParams::default();
-        let expect = 146.0 * 22.0 * 22.0;
-        assert!((s.cell_area_nm2() - expect).abs() < 1e-9);
     }
 
     #[test]

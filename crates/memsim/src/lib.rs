@@ -15,8 +15,13 @@
 //!   points (2 MB: 960.03 ps & 23.84 pJ per 32-bit read),
 //! * [`RegisterFile`] — the small fast storage GraphR uses for local vertices,
 //! * [`BankPowerGating`] — the bank-level power-gating controller of §4.1,
+//!   in closed form, with [`GatingTracker`] as its event-driven reference,
 //! * [`FaultPlan`] / [`EccProfile`] — deterministic, seed-driven fault
 //!   injection and error-correction models for the reliability layer.
+//!
+//! The crate prices single operations only. Whole runs are costed by
+//! `hyve-core`'s channels, which add the chip count and the ECC overhead
+//! on top of these per-operation costs.
 //!
 //! All quantities use the explicit unit newtypes in [`units`]
 //! ([`Energy`], [`Time`], [`Power`]) so that picojoules are never added to
@@ -37,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod area;
 pub mod cell;
 pub mod counters;
 pub mod device;
@@ -48,11 +52,9 @@ pub mod power_gating;
 pub mod regfile;
 pub mod reram;
 pub mod sram;
-pub mod trace;
 pub mod units;
 
-pub use area::{Area, AreaModel};
-pub use cell::{CellBits, ReramCellParams, SramCellParams};
+pub use cell::{CellBits, ReramCellParams};
 pub use counters::AccessStats;
 pub use device::{DeviceKind, MemoryDevice};
 pub use dram::{DramChip, DramChipConfig, DramTimings};
@@ -62,5 +64,4 @@ pub use power_gating::{BankPowerGating, GatingTracker, PowerGatingConfig, PowerG
 pub use regfile::RegisterFile;
 pub use reram::{OptimizationTarget, ReramBankProfile, ReramChip, ReramChipConfig};
 pub use sram::{SramArray, SramConfig};
-pub use trace::{AccessTrace, Op, Replay};
 pub use units::{Energy, EnergyDelay, Power, Time};

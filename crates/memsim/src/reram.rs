@@ -53,11 +53,6 @@ impl ReramBankProfile {
     pub fn power_per_bit(&self) -> Power {
         (self.read_energy / self.period) / f64::from(self.output_bits)
     }
-
-    /// Energy per bit read.
-    pub fn energy_per_bit(&self) -> Energy {
-        self.read_energy / f64::from(self.output_bits)
-    }
 }
 
 /// The eight (target × width) rows of the paper's Table 3.
@@ -281,15 +276,6 @@ impl ReramChip {
         Time::from_ns(29.31)
             * (f64::from(self.config.density_gbit) / 4.0).powf(0.1)
             * self.config.cell.bits.read_latency_factor()
-    }
-
-    /// Energy of writing one output-width burst: set-pulse energy per bit
-    /// plus peripheral (decode/drive) energy comparable to a read access.
-    pub fn access_write_energy(&self) -> Energy {
-        let cell_energy =
-            self.config.cell.write_energy_per_bit() * f64::from(self.config.output_bits);
-        let peripheral = self.profile.read_energy * self.density_energy_factor;
-        cell_energy + peripheral
     }
 
     /// Pulses per programmed cell including verify iterations. Main-memory

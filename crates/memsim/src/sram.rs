@@ -7,7 +7,6 @@
 //! linearly with capacity — the mechanism behind Table 4's "bigger SRAM is
 //! not better" result.
 
-use crate::cell::SramCellParams;
 use crate::device::{DeviceKind, MemoryDevice};
 use crate::error::DeviceError;
 use crate::units::{Energy, Power, Time};
@@ -22,8 +21,6 @@ pub struct SramConfig {
     pub capacity_bytes: u64,
     /// Word width of one access in bits.
     pub word_bits: u32,
-    /// Cell geometry (affects leakage via area).
-    pub cell: SramCellParams,
     /// Leakage power per megabyte at 22 nm.
     pub leakage_per_mb: Power,
 }
@@ -33,7 +30,6 @@ impl Default for SramConfig {
         SramConfig {
             capacity_bytes: ANCHOR_BYTES,
             word_bits: 32,
-            cell: SramCellParams::default(),
             leakage_per_mb: Power::from_mw(15.0),
         }
     }

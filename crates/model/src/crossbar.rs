@@ -70,12 +70,6 @@ impl CrossbarCosts {
         self.per_edge_energy(navg) * f64::from(self.crossbars_per_value)
     }
 
-    /// Eq. (12): per-edge energy of non-MV algorithms (BFS): rows selected
-    /// in turn (8 MV passes) plus the CMOS operator at the output port.
-    pub fn per_edge_energy_nmv(&self, navg: f64) -> Energy {
-        self.per_edge_energy(navg) * f64::from(self.row_selects) + self.cmos_op_energy
-    }
-
     /// Eq. (13): per-edge energy of plain CMOS processing.
     pub fn cmos_per_edge_energy(&self) -> Energy {
         self.cmos_op_energy
@@ -93,20 +87,6 @@ impl CrossbarCosts {
     pub fn cmos_wins(&self, navg: f64) -> bool {
         self.per_edge_energy_mv(navg) > self.cmos_per_edge_energy()
             && self.per_edge_latency_mv(navg) > self.cmos_op_latency
-    }
-
-    /// Occupancy at which the crossbar's per-edge MV energy would match
-    /// CMOS — far beyond the 64 edges an 8×8 block can even hold, which is
-    /// the quantitative form of the paper's conclusion.
-    pub fn break_even_navg(&self) -> f64 {
-        // 4(Ew + Er/n) = Eop  ⇒  n = 4·Er / (Eop − 4·Ew); negative ⇒ never.
-        let denom = self.cmos_op_energy.as_pj()
-            - f64::from(self.crossbars_per_value) * self.write_energy.as_pj();
-        if denom <= 0.0 {
-            f64::INFINITY
-        } else {
-            f64::from(self.crossbars_per_value) * self.read_energy.as_pj() / denom
-        }
     }
 }
 
@@ -136,19 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn crossbar_never_breaks_even() {
-        // E_w alone (3.91 nJ) exceeds E_op (3.7 pJ), so no occupancy helps.
-        let c = CrossbarCosts::default();
-        assert_eq!(c.break_even_navg(), f64::INFINITY);
-    }
-
-    #[test]
-    fn nmv_costs_more_than_mv() {
-        let c = CrossbarCosts::default();
-        assert!(c.per_edge_energy_nmv(1.5) > c.per_edge_energy_mv(1.5));
-    }
-
-    #[test]
     fn denser_blocks_amortise_reads() {
         let c = CrossbarCosts::default();
         assert!(c.per_edge_energy_mv(2.0) < c.per_edge_energy_mv(1.0));
@@ -166,16 +133,5 @@ mod tests {
     #[should_panic(expected = "at least one edge")]
     fn zero_occupancy_panics() {
         let _ = CrossbarCosts::default().per_edge_energy(0.0);
-    }
-
-    #[test]
-    fn hypothetical_cheap_crossbar_breaks_even() {
-        let c = CrossbarCosts {
-            write_energy: Energy::from_pj(0.5),
-            ..Default::default()
-        }; // 4·0.5 = 2 < 3.7
-        let n = c.break_even_navg();
-        assert!(n.is_finite() && n > 0.0);
-        assert!(!c.cmos_wins(n * 2.0) || c.per_edge_latency_mv(n * 2.0) > c.cmos_op_latency);
     }
 }

@@ -1,14 +1,13 @@
 //! The §6 analytic model as a design tool: EDP decomposition, the
-//! Cauchy–Schwarz bound, the DRAM/ReRAM comparisons of Figs. 9–10, silicon
-//! area, and the §6.6 hierarchy recommender.
+//! Cauchy–Schwarz bound, the DRAM/ReRAM comparisons of Figs. 9–10 and the
+//! §6.6 hierarchy recommender.
 //!
 //! ```sh
 //! cargo run --release --example analytic_model
 //! ```
 
 use hyve::memsim::{
-    AreaModel, DramChip, DramChipConfig, Energy, MemoryDevice, ReramChip, ReramChipConfig,
-    SramCellParams, Time,
+    DramChip, DramChipConfig, Energy, MemoryDevice, ReramChip, ReramChipConfig, Time,
 };
 use hyve::model::general::{CostTerm, GraphWorkload, ModelCosts};
 use hyve::model::{compare_edge_storage, recommend, AccessPattern, Objective, WorkloadShape};
@@ -53,22 +52,6 @@ fn main() {
         println!(
             "{pattern:?}: delay {:.2}, energy {:.2}, EDP {:.2}",
             c.delay_ratio, c.energy_ratio, c.edp_ratio
-        );
-    }
-
-    println!("\n== Silicon area (22 nm) ==");
-    for (name, model) in [
-        ("ReRAM crossbar", AreaModel::reram(22.0)),
-        ("DRAM", AreaModel::dram(22.0)),
-        (
-            "SRAM (146 F^2)",
-            AreaModel::sram(&SramCellParams::default()),
-        ),
-    ] {
-        println!(
-            "{name:<16}: 4 Gb in {}, {:.1} Mbit/mm^2",
-            model.array_area(4 << 30),
-            model.bits_per_mm2() / 1e6,
         );
     }
 

@@ -73,6 +73,13 @@ grep -q "re-ranked evolved graph" <<<"$stream" || {
     exit 1
   }
 
+echo "==> example smoke (analytic_model reaches the §6.6 recommender)"
+model="$(cargo run -q --release --offline --example analytic_model)"
+grep -q "§6.6 recommender" <<<"$model" || {
+    echo "analytic_model did not reach the §6.6 recommender" >&2
+    exit 1
+  }
+
 echo "==> benchmark smoke (perfbench builds and passes its checks)"
 last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
   --workload config-sweep --seconds 1 --trace 0 | tail -n 1)"
