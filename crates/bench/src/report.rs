@@ -96,42 +96,7 @@ pub fn measure(
     profile: &DatasetProfile,
     graph: &EdgeList,
 ) -> RunReport {
-    let cfg_name = cfg.name;
-    let configured = configure(cfg, profile);
-    match std::env::var_os("HYVE_TRACE_DIR") {
-        None => alg.run_hyve(&session(configured), profile, graph),
-        Some(dir) => {
-            let (traced, recorder) = crate::workloads::traced_session(configured);
-            let report = alg.run_hyve(&traced, profile, graph);
-            let path =
-                std::path::Path::new(&dir).join(artifact_name(cfg_name, alg.tag(), profile.tag));
-            if let Err(e) = std::fs::write(&path, recorder.artifact().to_jsonl()) {
-                eprintln!(
-                    "warning: trace artifact {} not written: {e}",
-                    path.display()
-                );
-            }
-            report
-        }
-    }
-}
-
-/// Filesystem-safe artifact filename for one measurement:
-/// `<config>_<alg>_<dataset>.jsonl`, lowercased with non-alphanumerics
-/// folded to `-` (config names contain `+`).
-pub fn artifact_name(cfg: &str, alg: &str, dataset: &str) -> String {
-    let clean = |s: &str| -> String {
-        s.chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '-'
-                }
-            })
-            .collect()
-    };
-    format!("{}_{}_{}.jsonl", clean(cfg), clean(alg), clean(dataset))
+    alg.run_hyve(&session(configure(cfg, profile)), profile, graph)
 }
 
 /// Prints a [`GridRow`] table with the shared alg/dataset columns.
@@ -191,31 +156,6 @@ mod tests {
         ];
         assert!((geomean_by_algorithm(&rows, "PR") - 4.0).abs() < 1e-12);
         assert!((overall_geomean(&rows) - (2.0f64 * 8.0 * 100.0).cbrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn artifact_names_are_filesystem_safe() {
-        assert_eq!(
-            artifact_name("acc+HyVE-opt", "PR", "YT"),
-            "acc-hyve-opt_pr_yt.jsonl"
-        );
-    }
-
-    #[test]
-    fn measure_emits_artifact_when_trace_dir_set() {
-        std::env::set_var("HYVE_BENCH_SMALL", "1");
-        let dir = std::env::temp_dir().join("hyve-bench-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("HYVE_TRACE_DIR", &dir);
-        let (profile, graph) = &crate::workloads::datasets()[0];
-        let report = measure(SystemConfig::hyve_opt(), Algorithm::Bfs, profile, graph);
-        std::env::remove_var("HYVE_TRACE_DIR");
-        let path = dir.join(artifact_name("acc+HyVE-opt", "BFS", profile.tag));
-        let text = std::fs::read_to_string(&path).expect("artifact written");
-        let artifact = hyve_core::TraceArtifact::from_jsonl(&text).expect("artifact parses");
-        assert_eq!(artifact.iterations_total, report.iterations);
-        assert_eq!(artifact.edges_processed, report.edges_processed);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared workload construction: datasets, algorithms and run helpers.
 
 use hyve_algorithms::{Bfs, ConnectedComponents, EdgeProgram, PageRank, SpMv, Sssp};
-use hyve_core::{ExecutionStrategy, RunReport, SharedRecorder, SimulationSession, SystemConfig};
+use hyve_core::{ExecutionStrategy, RunReport, SimulationSession, SystemConfig};
 use hyve_graph::{DatasetProfile, EdgeList, GridGraph, VertexId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -84,20 +84,6 @@ pub fn session(cfg: SystemConfig) -> SimulationSession {
         .strategy(strategy())
         .build()
         .expect("benchmark configuration is valid")
-}
-
-/// Like [`session`], additionally attaching a [`SharedRecorder`] so the
-/// run's per-iteration metrics can be serialized as a trace artifact
-/// afterwards. Tracing is observation-only: the returned reports are
-/// bit-identical to an untraced session's.
-pub fn traced_session(cfg: SystemConfig) -> (SimulationSession, SharedRecorder) {
-    let recorder = SharedRecorder::default();
-    let session = SimulationSession::builder(cfg)
-        .strategy(strategy())
-        .with_trace(recorder.clone())
-        .build()
-        .expect("benchmark configuration is valid");
-    (session, recorder)
 }
 
 /// The three core algorithms of the main evaluation (§7.1).

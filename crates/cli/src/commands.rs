@@ -253,12 +253,8 @@ fn report<W: Write>(args: ReportArgs, out: &mut W) -> Result<(), CliError> {
         let diff = artifact.diff(&baseline);
         writeln!(out, "\ndiff vs {base_path}:").map_err(io_err)?;
         writeln!(out, "{diff}").map_err(io_err)?;
-        writeln!(
-            out,
-            "identical: {}",
-            if diff.is_zero() { "yes" } else { "no" }
-        )
-        .map_err(io_err)?;
+        let identical = if artifact == baseline { "yes" } else { "no" };
+        writeln!(out, "identical: {identical}").map_err(io_err)?;
     }
     Ok(())
 }
@@ -513,14 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_toggle_combination_rejected() {
-        // Power gating on a DRAM edge memory is invalid and must surface.
-        let err = exec("run --alg pr --dataset yt --config acc-dram").is_ok();
-        assert!(err, "acc-dram without gating is fine");
-        // acc-dram never has gating on, so force the inverse check via sweep.
-    }
-
-    #[test]
     fn compare_lists_all_systems() {
         let s = exec("compare --alg spmv --dataset yt").unwrap();
         for label in ["acc+DRAM", "acc+HyVE-opt", "GraphR", "CPU+DRAM"] {
@@ -594,6 +582,36 @@ mod tests {
         let s = exec(&format!("report {p} {p}")).unwrap();
         assert!(s.contains("identical: yes"), "{s}");
         std::fs::remove_file(path).ok();
+    }
+
+    /// `identical` means the parsed artifacts are equal, not merely that
+    /// their energy, elapsed-time and iteration deltas are zero.
+    #[test]
+    fn report_flags_any_changed_field_as_not_identical() {
+        let dir = std::env::temp_dir().join("hyve-cli-identical-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let a = dir.join("a.jsonl");
+        let b = dir.join("b.jsonl");
+        let (pa, pb) = (a.to_str().unwrap(), b.to_str().unwrap());
+        exec(&format!("run --alg bfs --dataset yt --trace {pa}")).unwrap();
+        let text = std::fs::read_to_string(&a).unwrap();
+        let gating = text.lines().find(|l| l.contains("\"gating\"")).unwrap();
+        let edits = [
+            // Another gating count: no energy or time field moves.
+            text.replace(gating, "{\"event\":\"gating\",\"transitions\":999}"),
+            // Swap the loading and processing split: the total is unchanged.
+            text.replace("\"loading_", "\"tmp_")
+                .replace("\"processing_", "\"loading_")
+                .replace("\"tmp_", "\"processing_"),
+        ];
+        for edited in edits {
+            assert_ne!(edited, text);
+            std::fs::write(&b, edited).unwrap();
+            let s = exec(&format!("report {pa} {pb}")).unwrap();
+            assert!(s.contains("identical: no"), "{s}");
+        }
+        std::fs::remove_file(a).ok();
+        std::fs::remove_file(b).ok();
     }
 
     #[test]

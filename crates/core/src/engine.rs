@@ -26,6 +26,7 @@
 use crate::accounting::{self, Workload};
 use crate::error::CoreError;
 use crate::exec::{fan_out_mut, BlockPlan};
+use crate::schedule::SuperBlockSchedule;
 use crate::session::SimulationSession;
 use crate::stats::{EnergyBreakdown, PhaseTimes, RunReport};
 use crate::trace::{TraceChannel, TraceEvent};
@@ -140,16 +141,7 @@ impl SimulationSession {
     ) -> Result<(RunReport, Vec<P::Value>), CoreError> {
         let n = self.config.num_pus;
         let p = grid.num_intervals();
-        if p < n {
-            return Err(CoreError::Unschedulable {
-                message: format!("{p} intervals < {n} processing units"),
-            });
-        }
-        if !p.is_multiple_of(n) {
-            return Err(CoreError::Unschedulable {
-                message: format!("{p} intervals not divisible by {n} processing units"),
-            });
-        }
+        let schedule = SuperBlockSchedule::new(p, n)?;
         let flat = grid.flat();
         // A dynamic snapshot may store edges at reserved vertex slots past
         // its vertex count; its out-degree table then runs past it too.
@@ -160,7 +152,6 @@ impl SimulationSession {
                 num_vertices: grid.num_vertices(),
             }));
         }
-        let schedule = crate::schedule::SuperBlockSchedule::new(p, n).expect("shape checked above");
         // The per-run artifacts (block plan, out-degrees) derive from the
         // grid's sparse SoA edge storage once per run instead of
         // per-iteration rescans.

@@ -13,7 +13,7 @@ use crate::schedule::SuperBlockSchedule;
 use hyve_graph::FlatGrid;
 
 /// How a [`SimulationSession`](crate::session::SimulationSession) executes
-/// the per-PU work of each iteration (and sweeps over configurations).
+/// the per-PU work of each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionStrategy {
     /// One OS thread; PUs run in index order.
@@ -39,45 +39,15 @@ impl ExecutionStrategy {
     }
 }
 
-/// Runs `f(0), f(1), …, f(tasks-1)` under `strategy` and returns the results
-/// indexed by task — the deterministic fan-out/reduce primitive everything
-/// else builds on. `f` must be pure with respect to task index: outputs land
-/// in a slot-per-task vector, so the caller's reduction order (fixed task
-/// order) never depends on scheduling.
-pub(crate) fn fan_out<O, F>(strategy: ExecutionStrategy, tasks: usize, f: F) -> Vec<O>
-where
-    O: Send,
-    F: Fn(usize) -> O + Sync,
-{
-    let workers = strategy.worker_threads(tasks);
-    if workers <= 1 || tasks <= 1 {
-        return (0..tasks).map(f).collect();
-    }
-    let mut slots: Vec<Option<O>> = (0..tasks).map(|_| None).collect();
-    let chunk = tasks.div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (c, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                    *slot = Some(f(c * chunk + i));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task slot filled by its worker"))
-        .collect()
-}
-
-/// In-place sibling of [`fan_out`]: runs `f(i, &mut states[i])` for every
-/// state under `strategy`. This is how per-PU scratch buffers survive across
-/// iterations — the engine allocates them once per run and lends each worker
-/// exclusive access to its own slot, instead of collecting freshly-allocated
-/// outputs every iteration. `f` must be pure with respect to `(i, state)`;
-/// states are disjoint, so any thread interleaving leaves the same data in
-/// the same slots.
+/// Runs `f(i, &mut states[i])` for every state under `strategy` — the
+/// deterministic fan-out primitive everything else builds on. Per-PU
+/// scratch buffers survive across iterations this way: the engine
+/// allocates them once per run and lends each worker exclusive access to
+/// its own slot, instead of collecting freshly-allocated outputs every
+/// iteration. `f` must be pure with respect to `(i, state)`; states are
+/// disjoint, so any thread interleaving leaves the same data in the same
+/// slots, and the caller's reduction order (fixed slot order) never
+/// depends on scheduling.
 pub(crate) fn fan_out_mut<S, F>(strategy: ExecutionStrategy, states: &mut [S], f: F)
 where
     S: Send,
@@ -158,9 +128,9 @@ impl BlockPlan {
             bounds[d + 1] += bounds[d];
         }
 
-        let pu_blocks = fan_out(strategy, n as usize, |pu| {
+        let mut pu_blocks = vec![Vec::new(); n as usize];
+        fan_out_mut(strategy, &mut pu_blocks, |pu, blocks| {
             let pu = pu as u32;
-            let mut blocks = Vec::new();
             for dst in (pu..p).step_by(n as usize) {
                 let mut at = bounds[dst as usize];
                 let column = &ids[at..bounds[dst as usize + 1]];
@@ -171,7 +141,6 @@ impl BlockPlan {
                     at += run.len();
                 }
             }
-            blocks
         });
 
         // Block (s, d) runs in step (s − d) mod N of super block
@@ -224,28 +193,6 @@ mod tests {
     use hyve_graph::{DatasetProfile, GridGraph};
 
     #[test]
-    fn fan_out_preserves_task_order_for_any_thread_count() {
-        for strategy in [
-            ExecutionStrategy::Sequential,
-            ExecutionStrategy::Parallel { threads: 1 },
-            ExecutionStrategy::Parallel { threads: 3 },
-            ExecutionStrategy::Parallel { threads: 8 },
-            ExecutionStrategy::Parallel { threads: 64 },
-        ] {
-            let out = fan_out(strategy, 13, |i| i * i);
-            assert_eq!(out, (0..13).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn fan_out_handles_empty_and_single_task() {
-        let none: Vec<usize> = fan_out(ExecutionStrategy::Parallel { threads: 4 }, 0, |i| i);
-        assert!(none.is_empty());
-        let one = fan_out(ExecutionStrategy::Parallel { threads: 4 }, 1, |i| i + 7);
-        assert_eq!(one, vec![7]);
-    }
-
-    #[test]
     fn fan_out_mut_updates_every_slot_in_place_for_any_thread_count() {
         for strategy in [
             ExecutionStrategy::Sequential,
@@ -258,6 +205,9 @@ mod tests {
             for (i, s) in states.iter().enumerate() {
                 assert_eq!(s, &vec![i, i * i], "slot {i} under {strategy:?}");
             }
+            let mut one = vec![7];
+            fan_out_mut(strategy, &mut one, |i, s| *s += i + 1);
+            assert_eq!(one, vec![8], "single slot under {strategy:?}");
             let mut empty: Vec<u8> = Vec::new();
             fan_out_mut(strategy, &mut empty, |_, _| unreachable!());
         }

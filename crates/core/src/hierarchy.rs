@@ -1,6 +1,6 @@
 //! The composable memory-hierarchy layer (§3): the [`HierarchyInstance`] a
 //! [`SimulationSession`](crate::SimulationSession) builds **once** from its
-//! [`SystemConfig`] and reuses across runs and sweep points.
+//! [`SystemConfig`] and reuses across runs.
 //!
 //! The paper's claim is that the hierarchy is *composable*: swap the edge
 //! channel (ReRAM/DRAM), the off-chip vertex channel, the on-chip tier and
@@ -69,7 +69,7 @@ pub fn device_constructions() -> u64 {
 
 /// The constructed device model behind a channel. A closed enum (rather
 /// than a trait object) keeps [`HierarchyInstance`] — and with it the
-/// session — `Clone` and cheap to share across sweep threads.
+/// session — `Clone` and cheap to share across threads.
 #[derive(Debug, Clone)]
 enum ChannelDevice {
     Reram(ReramChip),

@@ -13,7 +13,7 @@
 //! * [`SimulationSession`] — the simulator: a builder that checks the
 //!   configuration once, constructs the hierarchy, and selects an
 //!   [`ExecutionStrategy`] (sequential, or a deterministic thread fan-out
-//!   over PUs and sweeps); the session then simulates Algorithm 2's
+//!   over PUs); the session then simulates Algorithm 2's
 //!   super-block scheduling (loading / assigning / rerouting / processing /
 //!   synchronizing / updating, see [`engine`]), with per-edge pipelining
 //!   per Eq. (1),
@@ -23,9 +23,9 @@
 //! * [`RunReport`] — energy/time accounting with the Fig. 17 breakdown,
 //! * [`trace`] — structured observability: typed [`TraceEvent`]s fed to a
 //!   [`TraceSink`] attached via
-//!   [`SessionBuilder::with_trace`](session::SessionBuilder::with_trace),
-//!   aggregated by [`MetricsRecorder`] into a versioned JSONL
-//!   [`TraceArtifact`]. Zero-cost when disabled, and observation never
+//!   [`SessionBuilder::with_trace`](session::SessionBuilder::with_trace);
+//!   the bundled sink is the versioned JSONL [`TraceArtifact`] itself,
+//!   read back through a [`SharedRecorder`]. Zero-cost when disabled, and observation never
 //!   perturbs accounting (golden reports are bit-identical either way),
 //! * reliability — a deterministic seed-driven fault model
 //!   ([`FaultPlan`], [`EccProfile`]) with ECC correction, bounded retry,
@@ -78,6 +78,6 @@ pub use schedule::{Assignment, SuperBlockSchedule};
 pub use session::{SessionBuilder, SimulationSession};
 pub use stats::{EnergyBreakdown, PhaseTimes, ReliabilityReport, RunReport};
 pub use trace::{
-    MetricsRecorder, ReliabilityTotals, SharedRecorder, SharedSink, TraceArtifact, TraceChannel,
-    TraceDiff, TraceEvent, TraceSink,
+    ReliabilityTotals, SharedRecorder, TraceArtifact, TraceChannel, TraceDiff, TraceEvent,
+    TraceSink,
 };

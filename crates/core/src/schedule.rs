@@ -48,17 +48,16 @@ impl SuperBlockSchedule {
     /// [`CoreError::Unschedulable`] unless `intervals` is a positive
     /// multiple of `pus`.
     pub fn new(intervals: u32, pus: u32) -> Result<Self, CoreError> {
-        if pus == 0 {
-            return Err(CoreError::Unschedulable {
-                message: "need at least one processing unit".into(),
-            });
-        }
-        if intervals == 0 || !intervals.is_multiple_of(pus) {
-            return Err(CoreError::Unschedulable {
-                message: format!("{intervals} intervals not a positive multiple of {pus} PUs"),
-            });
-        }
-        Ok(SuperBlockSchedule { intervals, pus })
+        let message = if pus == 0 {
+            "need at least one processing unit".to_string()
+        } else if intervals < pus {
+            format!("{intervals} intervals < {pus} processing units")
+        } else if !intervals.is_multiple_of(pus) {
+            format!("{intervals} intervals not divisible by {pus} processing units")
+        } else {
+            return Ok(SuperBlockSchedule { intervals, pus });
+        };
+        Err(CoreError::Unschedulable { message })
     }
 
     /// Number of intervals `P`.

@@ -31,7 +31,7 @@
 
 use crate::config::SystemConfig;
 use crate::error::CoreError;
-use crate::exec::{fan_out, ExecutionStrategy};
+use crate::exec::ExecutionStrategy;
 use crate::hierarchy::HierarchyInstance;
 use crate::pu::ProcessingUnit;
 use crate::stats::RunReport;
@@ -82,8 +82,7 @@ impl SessionBuilder {
     ///
     /// Pass a [`SharedRecorder`](crate::SharedRecorder) clone to collect a
     /// [`TraceArtifact`](crate::TraceArtifact) you can read back after the
-    /// run. [`sweep`](SimulationSession::sweep) runs stay untraced — a
-    /// sweep point builds its own session per configuration.
+    /// run.
     pub fn with_trace(mut self, sink: impl TraceSink + 'static) -> Self {
         self.sink = Some(SharedSink::new(sink));
         self
@@ -100,7 +99,6 @@ impl SessionBuilder {
     /// parallel-equals-sequential guarantee holds for fault runs too. The
     /// default (and [`FaultPlan::none`]) leaves the fault path disabled and
     /// every report bit-identical to a session without this call.
-    /// [`sweep`](SimulationSession::sweep) runs stay fault-free.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -237,37 +235,6 @@ impl SimulationSession {
         let grid = GridGraph::partition(graph, p)?;
         self.run_with_values(program, &grid)
     }
-
-    /// Runs `program` on `graph` under every configuration in `configs`,
-    /// returning reports in input order.
-    ///
-    /// Under a parallel strategy the *configurations* fan out across
-    /// threads (the figure-sweep workload) while each run executes its PUs
-    /// sequentially, avoiding thread oversubscription; results land in
-    /// input-indexed slots, so the output is identical to a sequential
-    /// sweep — including every report's energy and phase times.
-    ///
-    /// # Errors
-    ///
-    /// The first failing configuration's error, in input order.
-    pub fn sweep<P: EdgeProgram>(
-        &self,
-        program: &P,
-        graph: &EdgeList,
-        configs: &[SystemConfig],
-    ) -> Result<Vec<RunReport>, CoreError> {
-        let results: Vec<Result<RunReport, CoreError>> =
-            fan_out(self.strategy, configs.len(), |i| {
-                // Sweep points run sequentially, fault-free and untraced:
-                // interleaved event streams from concurrent configurations
-                // would be unattributable.
-                SimulationSession::builder(configs[i].clone())
-                    .dirty_interval_skipping(self.dirty_skipping)
-                    .build()?
-                    .run_on_edge_list(program, graph)
-            });
-        results.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -382,31 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_individual_runs_in_order() {
-        let g = graph();
-        let configs = [
-            SystemConfig::acc_dram(),
-            SystemConfig::acc_sram_dram(),
-            SystemConfig::hyve(),
-            SystemConfig::hyve_opt(),
-        ];
-        let session = SimulationSession::builder(SystemConfig::hyve())
-            .parallel(4)
-            .build()
-            .unwrap();
-        let swept = session.sweep(&PageRank::new(3), &g, &configs).unwrap();
-        assert_eq!(swept.len(), configs.len());
-        for (cfg, report) in configs.iter().zip(&swept) {
-            let lone = SimulationSession::builder(cfg.clone())
-                .build()
-                .unwrap()
-                .run_on_edge_list(&PageRank::new(3), &g)
-                .unwrap();
-            assert_eq!(*report, lone, "{}", cfg.name);
-        }
-    }
-
-    #[test]
     fn traced_run_is_bit_identical_and_recorder_matches_report() {
         use crate::trace::{SharedRecorder, TraceChannel};
         let g = graph();
@@ -492,15 +434,5 @@ mod tests {
             assert_eq!(it.blocks_processed, grid.non_empty_blocks() as u64);
             assert_eq!(it.blocks_skipped, 0);
         }
-    }
-
-    #[test]
-    fn sweep_surfaces_first_error_in_input_order() {
-        let g = graph();
-        let configs = [SystemConfig::hyve(), SystemConfig::hyve().with_num_pus(0)];
-        let session = SimulationSession::builder(SystemConfig::hyve())
-            .build()
-            .unwrap();
-        assert!(session.sweep(&PageRank::new(1), &g, &configs).is_err());
     }
 }

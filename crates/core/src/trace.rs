@@ -5,10 +5,10 @@
 //! over one run — phase times, per-channel energy, gating transitions.
 //! This module turns those views into data: the engine feeds typed
 //! [`TraceEvent`]s to a [`TraceSink`] attached via
-//! [`SessionBuilder::with_trace`](crate::SessionBuilder::with_trace), and
-//! the bundled [`MetricsRecorder`] aggregates them into a
-//! [`TraceArtifact`] that serializes to a versioned JSONL file
-//! ([`SCHEMA`]) and diffs against another artifact.
+//! [`SessionBuilder::with_trace`](crate::SessionBuilder::with_trace). The
+//! bundled sink is the [`TraceArtifact`] itself (held through a
+//! [`SharedRecorder`]): it aggregates the events, serializes to a
+//! versioned JSONL file ([`SCHEMA`]) and diffs against another artifact.
 //!
 //! ## Observation never perturbs accounting
 //!
@@ -190,11 +190,11 @@ pub trait TraceSink: Send {
 /// A cloneable, thread-safe handle to an attached [`TraceSink`], stored in
 /// the session and threaded through the engine.
 #[derive(Clone)]
-pub struct SharedSink(Arc<Mutex<dyn TraceSink>>);
+pub(crate) struct SharedSink(Arc<Mutex<dyn TraceSink>>);
 
 impl SharedSink {
     /// Wraps a sink for sharing with the session.
-    pub fn new(sink: impl TraceSink + 'static) -> SharedSink {
+    pub(crate) fn new(sink: impl TraceSink + 'static) -> SharedSink {
         SharedSink(Arc::new(Mutex::new(sink)))
     }
 
@@ -255,8 +255,13 @@ pub struct ReliabilityTotals {
     pub remaps: Vec<BankRemap>,
 }
 
-/// Aggregated metrics of one run: the [`MetricsRecorder`]'s output and the
-/// JSONL artifact's in-memory form.
+/// Aggregated metrics of one run, and the JSONL artifact's in-memory form.
+///
+/// The artifact is also the bundled [`TraceSink`]: it records the event
+/// stream of the most recent run, and a new [`TraceEvent::RunStart`] resets
+/// it, so a session that runs several programs leaves the last run's
+/// artifact behind. Attach it through a [`SharedRecorder`] to read it back
+/// after the run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceArtifact {
     /// Algorithm name.
@@ -582,108 +587,105 @@ impl TraceArtifact {
     /// [`TraceParseError`] on an unknown schema tag, malformed line, or
     /// unknown event kind.
     pub fn from_jsonl(text: &str) -> Result<TraceArtifact, TraceParseError> {
-        let err = |line: usize, message: String| TraceParseError { line, message };
         let mut lines = text
             .lines()
             .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (first_no, first) = lines
-            .next()
-            .ok_or_else(|| err(0, "empty artifact".into()))?;
-        let header = parse_flat_object(first).map_err(|m| err(first_no + 1, m))?;
-        let h = Fields(&header);
-        let schema = h.str("schema").map_err(|m| err(first_no + 1, m))?;
-        if schema != SCHEMA {
-            return Err(err(
-                first_no + 1,
-                format!("unsupported schema {schema:?} (expected {SCHEMA:?})"),
-            ));
-        }
-        let mut artifact = TraceArtifact {
-            algorithm: h.str("algorithm").map_err(|m| err(first_no + 1, m))?.into(),
-            config: h.str("config").map_err(|m| err(first_no + 1, m))?.into(),
-            num_vertices: h.u32("vertices").map_err(|m| err(first_no + 1, m))?,
-            num_edges: h.u64("edges").map_err(|m| err(first_no + 1, m))?,
-            intervals: h.u32("intervals").map_err(|m| err(first_no + 1, m))?,
-            num_pus: h.u32("pus").map_err(|m| err(first_no + 1, m))?,
-            iterations_total: h.u32("iterations").map_err(|m| err(first_no + 1, m))?,
-            edges_processed: h.u64("edges_processed").map_err(|m| err(first_no + 1, m))?,
-            ..TraceArtifact::default()
-        };
+            .filter(|(_, l)| !l.trim().is_empty())
+            .peekable();
+        let first = lines.peek().map(|&(no, _)| no).ok_or(TraceParseError {
+            line: 0,
+            message: "empty artifact".into(),
+        })?;
+        let mut artifact = TraceArtifact::default();
         for (no, line) in lines {
-            let no = no + 1;
-            let map = parse_flat_object(line).map_err(|m| err(no, m))?;
-            let f = Fields(&map);
-            match f.str("event").map_err(|m| err(no, m))? {
-                "iteration" => artifact.iterations.push(IterationSample {
-                    iteration: f.u32("i").map_err(|m| err(no, m))?,
-                    changed: f.bool("changed").map_err(|m| err(no, m))?,
-                    blocks_processed: f.u64("processed").map_err(|m| err(no, m))?,
-                    blocks_skipped: f.u64("skipped").map_err(|m| err(no, m))?,
-                }),
-                "phases" => {
-                    artifact.phases = PhaseTimes {
-                        loading: Time::from_ns(f.bits("loading_bits").map_err(|m| err(no, m))?),
-                        processing: Time::from_ns(
-                            f.bits("processing_bits").map_err(|m| err(no, m))?,
-                        ),
-                        updating: Time::from_ns(f.bits("updating_bits").map_err(|m| err(no, m))?),
-                        overhead: Time::from_ns(f.bits("overhead_bits").map_err(|m| err(no, m))?),
-                    }
-                }
-                "channel" => {
-                    let name = f.str("name").map_err(|m| err(no, m))?;
-                    let channel = TraceChannel::from_name(name)
-                        .ok_or_else(|| err(no, format!("unknown channel {name:?}")))?;
-                    artifact.channels.push(ChannelSeries {
-                        channel,
-                        stats: AccessStats {
-                            reads: f.u64("reads").map_err(|m| err(no, m))?,
-                            writes: f.u64("writes").map_err(|m| err(no, m))?,
-                            bits_read: f.u64("bits_read").map_err(|m| err(no, m))?,
-                            bits_written: f.u64("bits_written").map_err(|m| err(no, m))?,
-                            dynamic_energy: Energy::from_pj(
-                                f.bits("dynamic_bits").map_err(|m| err(no, m))?,
-                            ),
-                            background_energy: Energy::from_pj(
-                                f.bits("background_bits").map_err(|m| err(no, m))?,
-                            ),
-                            busy_time: Time::from_ns(f.bits("busy_bits").map_err(|m| err(no, m))?),
-                        },
-                    });
-                }
-                "gating" => {
-                    artifact.gating_transitions =
-                        Some(f.u64("transitions").map_err(|m| err(no, m))?);
-                }
-                "router" => {
-                    artifact.router = Some(RouterTotals {
-                        words: f.u64("words").map_err(|m| err(no, m))?,
-                        reroutes: f.u64("reroutes").map_err(|m| err(no, m))?,
-                    });
-                }
-                "reliability" => {
-                    let rel = artifact.reliability.get_or_insert_with(Default::default);
-                    rel.corrected = f.u64("corrected").map_err(|m| err(no, m))?;
-                    rel.uncorrectable = f.u64("uncorrectable").map_err(|m| err(no, m))?;
-                    rel.retries = f.u64("retries").map_err(|m| err(no, m))?;
-                }
-                "remap" => {
-                    artifact
-                        .reliability
-                        .get_or_insert_with(Default::default)
-                        .remaps
-                        .push(BankRemap {
-                            chip: f.u32("chip").map_err(|m| err(no, m))?,
-                            bank: f.u32("bank").map_err(|m| err(no, m))?,
-                            spare_chip: f.u32("spare_chip").map_err(|m| err(no, m))?,
-                            spare_bank: f.u32("spare_bank").map_err(|m| err(no, m))?,
-                        });
-                }
-                other => return Err(err(no, format!("unknown event {other:?}"))),
-            }
+            artifact
+                .decode(line, no == first)
+                .map_err(|message| TraceParseError {
+                    line: no + 1,
+                    message,
+                })?;
         }
         Ok(artifact)
+    }
+
+    /// Decodes one artifact line into `self`: the header when `header`,
+    /// else one event, which the artifact records as the engine's would be.
+    fn decode(&mut self, line: &str, header: bool) -> Result<(), String> {
+        let map = parse_flat_object(line)?;
+        let f = Fields(&map);
+        if header {
+            let schema = f.str("schema")?;
+            if schema != SCHEMA {
+                return Err(format!(
+                    "unsupported schema {schema:?} (expected {SCHEMA:?})"
+                ));
+            }
+            *self = TraceArtifact {
+                algorithm: f.str("algorithm")?.into(),
+                config: f.str("config")?.into(),
+                num_vertices: f.u32("vertices")?,
+                num_edges: f.u64("edges")?,
+                intervals: f.u32("intervals")?,
+                num_pus: f.u32("pus")?,
+                iterations_total: f.u32("iterations")?,
+                edges_processed: f.u64("edges_processed")?,
+                ..TraceArtifact::default()
+            };
+            return Ok(());
+        }
+        let event = match f.str("event")? {
+            "iteration" => TraceEvent::IterationEnd {
+                iteration: f.u32("i")?,
+                changed: f.bool("changed")?,
+                blocks_processed: f.u64("processed")?,
+                blocks_skipped: f.u64("skipped")?,
+            },
+            "phases" => TraceEvent::Phases {
+                phases: PhaseTimes {
+                    loading: Time::from_ns(f.bits("loading_bits")?),
+                    processing: Time::from_ns(f.bits("processing_bits")?),
+                    updating: Time::from_ns(f.bits("updating_bits")?),
+                    overhead: Time::from_ns(f.bits("overhead_bits")?),
+                },
+            },
+            "channel" => {
+                let name = f.str("name")?;
+                TraceEvent::ChannelLedger {
+                    channel: TraceChannel::from_name(name)
+                        .ok_or_else(|| format!("unknown channel {name:?}"))?,
+                    stats: AccessStats {
+                        reads: f.u64("reads")?,
+                        writes: f.u64("writes")?,
+                        bits_read: f.u64("bits_read")?,
+                        bits_written: f.u64("bits_written")?,
+                        dynamic_energy: Energy::from_pj(f.bits("dynamic_bits")?),
+                        background_energy: Energy::from_pj(f.bits("background_bits")?),
+                        busy_time: Time::from_ns(f.bits("busy_bits")?),
+                    },
+                }
+            }
+            "gating" => TraceEvent::GatingTransitions {
+                transitions: f.u64("transitions")?,
+            },
+            "router" => TraceEvent::RouterTraffic {
+                words: f.u64("words")?,
+                reroutes: f.u64("reroutes")?,
+            },
+            "reliability" => TraceEvent::Reliability {
+                corrected: f.u64("corrected")?,
+                uncorrectable: f.u64("uncorrectable")?,
+                retries: f.u64("retries")?,
+            },
+            "remap" => TraceEvent::BankRemap {
+                chip: f.u32("chip")?,
+                bank: f.u32("bank")?,
+                spare_chip: f.u32("spare_chip")?,
+                spare_bank: f.u32("spare_bank")?,
+            },
+            other => return Err(format!("unknown event {other:?}")),
+        };
+        self.record(&event);
+        Ok(())
     }
 
     /// Compares this artifact against `baseline`, channel by channel.
@@ -769,19 +771,6 @@ pub struct TraceDiff {
     pub iterations: i64,
 }
 
-impl TraceDiff {
-    /// True when every delta — per channel and headline — is exactly zero.
-    pub fn is_zero(&self) -> bool {
-        self.iterations == 0
-            && self.total_energy_pj == 0.0
-            && self.elapsed_ns == 0.0
-            && self
-                .channels
-                .iter()
-                .all(|c| c.energy_pj == 0.0 && c.busy_ns == 0.0)
-    }
-}
-
 impl fmt::Display for TraceDiff {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for c in &self.channels {
@@ -804,31 +793,7 @@ impl fmt::Display for TraceDiff {
     }
 }
 
-/// The bundled sink: aggregates the event stream of the most recent run
-/// into a [`TraceArtifact`].
-///
-/// A new [`TraceEvent::RunStart`] resets the recorder, so a session that
-/// runs several programs leaves the last run's artifact behind. Wrap it in
-/// a [`SharedRecorder`] to keep a handle for reading the artifact after
-/// the session consumed the sink.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRecorder {
-    artifact: TraceArtifact,
-}
-
-impl MetricsRecorder {
-    /// A fresh recorder.
-    pub fn new() -> MetricsRecorder {
-        MetricsRecorder::default()
-    }
-
-    /// The aggregated artifact of the most recent run.
-    pub fn artifact(&self) -> &TraceArtifact {
-        &self.artifact
-    }
-}
-
-impl TraceSink for MetricsRecorder {
+impl TraceSink for TraceArtifact {
     fn record(&mut self, event: &TraceEvent) {
         match event {
             TraceEvent::RunStart {
@@ -839,7 +804,7 @@ impl TraceSink for MetricsRecorder {
                 intervals,
                 num_pus,
             } => {
-                self.artifact = TraceArtifact {
+                *self = TraceArtifact {
                     algorithm: (*algorithm).into(),
                     config: (*config).into(),
                     num_vertices: *num_vertices,
@@ -854,24 +819,22 @@ impl TraceSink for MetricsRecorder {
                 changed,
                 blocks_processed,
                 blocks_skipped,
-            } => self.artifact.iterations.push(IterationSample {
+            } => self.iterations.push(IterationSample {
                 iteration: *iteration,
                 changed: *changed,
                 blocks_processed: *blocks_processed,
                 blocks_skipped: *blocks_skipped,
             }),
-            TraceEvent::Phases { phases } => self.artifact.phases = *phases,
-            TraceEvent::ChannelLedger { channel, stats } => {
-                self.artifact.channels.push(ChannelSeries {
-                    channel: *channel,
-                    stats: *stats,
-                })
-            }
+            TraceEvent::Phases { phases } => self.phases = *phases,
+            TraceEvent::ChannelLedger { channel, stats } => self.channels.push(ChannelSeries {
+                channel: *channel,
+                stats: *stats,
+            }),
             TraceEvent::GatingTransitions { transitions } => {
-                self.artifact.gating_transitions = Some(*transitions);
+                self.gating_transitions = Some(*transitions);
             }
             TraceEvent::RouterTraffic { words, reroutes } => {
-                self.artifact.router = Some(RouterTotals {
+                self.router = Some(RouterTotals {
                     words: *words,
                     reroutes: *reroutes,
                 });
@@ -881,10 +844,7 @@ impl TraceSink for MetricsRecorder {
                 uncorrectable,
                 retries,
             } => {
-                let rel = self
-                    .artifact
-                    .reliability
-                    .get_or_insert_with(Default::default);
+                let rel = self.reliability.get_or_insert_with(Default::default);
                 rel.corrected = *corrected;
                 rel.uncorrectable = *uncorrectable;
                 rel.retries = *retries;
@@ -895,7 +855,6 @@ impl TraceSink for MetricsRecorder {
                 spare_chip,
                 spare_bank,
             } => self
-                .artifact
                 .reliability
                 .get_or_insert_with(Default::default)
                 .remaps
@@ -909,14 +868,14 @@ impl TraceSink for MetricsRecorder {
                 iterations,
                 edges_processed,
             } => {
-                self.artifact.iterations_total = *iterations;
-                self.artifact.edges_processed = *edges_processed;
+                self.iterations_total = *iterations;
+                self.edges_processed = *edges_processed;
             }
         }
     }
 }
 
-/// A cloneable [`MetricsRecorder`] handle: attach one clone to a session
+/// A cloneable [`TraceArtifact`] recorder: attach one clone to a session
 /// via [`with_trace`](crate::SessionBuilder::with_trace) and keep another
 /// to read the [`TraceArtifact`] after the run.
 ///
@@ -939,7 +898,7 @@ impl TraceSink for MetricsRecorder {
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct SharedRecorder(Arc<Mutex<MetricsRecorder>>);
+pub struct SharedRecorder(Arc<Mutex<TraceArtifact>>);
 
 impl SharedRecorder {
     /// A fresh shared recorder.
@@ -949,7 +908,7 @@ impl SharedRecorder {
 
     /// A copy of the aggregated artifact of the most recent run.
     pub fn artifact(&self) -> TraceArtifact {
-        self.0.lock().expect("recorder poisoned").artifact().clone()
+        self.0.lock().expect("recorder poisoned").clone()
     }
 }
 
@@ -1034,7 +993,6 @@ mod tests {
     fn self_diff_is_all_zeros() {
         let a = artifact();
         let d = a.diff(&a);
-        assert!(d.is_zero(), "{d}");
         assert_eq!(d.iterations, 0);
         for c in &d.channels {
             assert_eq!(c.energy_pj, 0.0);
@@ -1049,7 +1007,6 @@ mod tests {
         b.channels[0].stats.dynamic_energy += Energy::from_pj(0.3);
         b.iterations_total += 1;
         let d = b.diff(&a);
-        assert!(!d.is_zero());
         assert!((d.channels[0].energy_pj - 0.3).abs() < 1e-12);
         assert!(d.channels[0].energy_pct > 0.0);
         assert_eq!(d.iterations, 1);
@@ -1060,7 +1017,7 @@ mod tests {
 
     #[test]
     fn recorder_aggregates_event_stream() {
-        let mut rec = MetricsRecorder::new();
+        let mut rec = TraceArtifact::default();
         rec.record(&TraceEvent::RunStart {
             algorithm: "BFS",
             config: "acc+HyVE",
@@ -1087,7 +1044,7 @@ mod tests {
             iterations: 1,
             edges_processed: 20,
         });
-        let a = rec.artifact();
+        let a = &rec;
         assert_eq!(a.algorithm, "BFS");
         assert_eq!(a.iterations.len(), 1);
         assert_eq!(a.gating_transitions, Some(5));
@@ -1102,8 +1059,8 @@ mod tests {
             intervals: 8,
             num_pus: 8,
         });
-        assert_eq!(rec.artifact().algorithm, "PR");
-        assert!(rec.artifact().iterations.is_empty());
+        assert_eq!(rec.algorithm, "PR");
+        assert!(rec.iterations.is_empty());
     }
 
     #[test]
@@ -1155,7 +1112,7 @@ mod tests {
 
     #[test]
     fn recorder_aggregates_reliability_events() {
-        let mut rec = MetricsRecorder::new();
+        let mut rec = TraceArtifact::default();
         rec.record(&TraceEvent::RunStart {
             algorithm: "PR",
             config: "acc+HyVE",
@@ -1177,7 +1134,7 @@ mod tests {
             uncorrectable: 1,
             retries: 2,
         });
-        let rel = rec.artifact().reliability.clone().expect("reliability");
+        let rel = rec.reliability.clone().expect("reliability");
         assert_eq!(rel.corrected, 5);
         assert_eq!(rel.retries, 2);
         assert_eq!(
@@ -1198,7 +1155,7 @@ mod tests {
             intervals: 8,
             num_pus: 8,
         });
-        assert!(rec.artifact().reliability.is_none());
+        assert!(rec.reliability.is_none());
     }
 
     #[test]

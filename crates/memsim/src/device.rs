@@ -141,58 +141,6 @@ pub trait MemoryDevice {
     }
 }
 
-/// Blanket impl so `&D` can be passed wherever a device is expected.
-impl<D: MemoryDevice + ?Sized> MemoryDevice for &D {
-    fn kind(&self) -> DeviceKind {
-        (**self).kind()
-    }
-    fn capacity_bits(&self) -> u64 {
-        (**self).capacity_bits()
-    }
-    fn read_energy(&self, bits: u64) -> Energy {
-        (**self).read_energy(bits)
-    }
-    fn write_energy(&self, bits: u64) -> Energy {
-        (**self).write_energy(bits)
-    }
-    fn read_latency(&self) -> Time {
-        (**self).read_latency()
-    }
-    fn write_latency(&self) -> Time {
-        (**self).write_latency()
-    }
-    fn output_bits(&self) -> u32 {
-        (**self).output_bits()
-    }
-    fn burst_period(&self) -> Time {
-        (**self).burst_period()
-    }
-    fn sequential_write_period(&self) -> Time {
-        (**self).sequential_write_period()
-    }
-    fn background_power(&self) -> Power {
-        (**self).background_power()
-    }
-    fn random_access_penalty(&self) -> f64 {
-        (**self).random_access_penalty()
-    }
-    fn word_read_latency(&self) -> Time {
-        (**self).word_read_latency()
-    }
-    fn word_write_latency(&self) -> Time {
-        (**self).word_write_latency()
-    }
-    fn bulk_write_energy(&self, bits: u64) -> Energy {
-        (**self).bulk_write_energy(bits)
-    }
-    fn bulk_read_energy(&self, bits: u64) -> Energy {
-        (**self).bulk_read_energy(bits)
-    }
-    fn bulk_transfer_time(&self, bits: u64) -> Time {
-        (**self).bulk_transfer_time(bits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,7 +185,7 @@ mod tests {
         let d = Fake;
         let r: &dyn MemoryDevice = &d;
         assert_eq!(r.kind(), DeviceKind::Sram);
-        assert_eq!((&&d).capacity_bits(), 1024);
+        assert_eq!(r.capacity_bits(), 1024);
         assert_eq!(d.read_latency(), Time::from_ns(1.0));
         assert_eq!(d.random_access_penalty(), 3.0);
         assert_eq!(d.output_bits(), 512);
@@ -262,7 +210,7 @@ mod tests {
         assert_eq!(d.bulk_read_energy(128), d.read_energy(128));
         assert_eq!(d.bulk_write_energy(128), d.write_energy(128));
         assert_eq!(d.bulk_transfer_time(1024), d.sequential_read_time(1024));
-        // The blanket `&D` impl forwards the extended surface too.
+        // A trait object dispatches the extended surface too.
         let r: &dyn MemoryDevice = &d;
         assert_eq!(r.word_read_latency(), d.read_latency());
         assert_eq!(r.bulk_transfer_time(1024), d.sequential_read_time(1024));

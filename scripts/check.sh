@@ -88,6 +88,14 @@ grep -q '"correct": true' <<<"$last" || {
     exit 1
   }
 
+echo "==> traced benchmark smoke (perfbench's trace sink splits every run)"
+last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload config-sweep --seconds 1 --trace 1 | tail -n 1)"
+grep -q '"correct": true' <<<"$last" || {
+    echo "perfbench traced smoke failed: $last" >&2
+    exit 1
+  }
+
 echo "==> P = 5096 benchmark smoke (TW partition, flatten and sweep at the planner's P)"
 last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
   --workload accum-tw --seconds 1 --trace 0 | tail -n 1)"

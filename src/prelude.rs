@@ -20,9 +20,9 @@ pub use hyve_algorithms::{
 };
 pub use hyve_core::{
     BankRemap, CoreError, EccProfile, EnergyBreakdown, ExecutionStrategy, FaultPlan,
-    HierarchyInstance, MetricsRecorder, OffChipTech, PhaseTimes, ReliabilityReport, RunReport,
-    SessionBuilder, SharedRecorder, SimulationSession, SystemConfig, TraceArtifact, TraceChannel,
-    TraceDiff, TraceEvent, TraceSink,
+    HierarchyInstance, OffChipTech, PhaseTimes, ReliabilityReport, RunReport, SessionBuilder,
+    SharedRecorder, SimulationSession, SystemConfig, TraceArtifact, TraceChannel, TraceDiff,
+    TraceEvent, TraceSink,
 };
 pub use hyve_graph::{
     BlockId, DatasetProfile, DynamicGrid, Edge, EdgeList, FlatGrid, GraphError, GridGraph,
