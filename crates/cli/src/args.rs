@@ -127,8 +127,9 @@ pub struct GenArgs {
 }
 
 /// Splits `argv` into flag→value pairs (flags start with `--`; bare flags
-/// get the value "true").
-fn flags(argv: &[String]) -> Result<HashMap<String, String>, CliError> {
+/// get the value "true"), accepting only `--help` and the space-separated
+/// `known` flags.
+fn flags(argv: &[String], known: &str) -> Result<HashMap<String, String>, CliError> {
     let mut map = HashMap::new();
     let mut i = 0;
     while i < argv.len() {
@@ -136,6 +137,9 @@ fn flags(argv: &[String]) -> Result<HashMap<String, String>, CliError> {
         let Some(name) = token.strip_prefix("--") else {
             return Err(CliError::Usage(format!("unexpected argument '{token}'")));
         };
+        if name != "help" && !known.split(' ').any(|k| k == name) {
+            return Err(CliError::Usage(format!("unknown flag '{token}'")));
+        }
         let boolean = matches!(name, "no-sharing" | "no-gating" | "help");
         if boolean {
             map.insert(name.to_string(), "true".to_string());
@@ -189,7 +193,8 @@ fn get_source(map: &HashMap<String, String>) -> Result<SourceArgs, CliError> {
 ///
 /// # Errors
 ///
-/// [`CliError::Usage`] on unknown commands, missing flags or bad values.
+/// [`CliError::Usage`] on unknown commands or flags, missing flags or bad
+/// values.
 pub fn parse(argv: &[String]) -> Result<Command, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Ok(Command::Help);
@@ -223,7 +228,18 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             )),
         };
     }
-    let map = flags(rest)?;
+    let known = match cmd.as_str() {
+        "run" => {
+            "alg config dataset input seed iters sram-mb no-sharing no-gating threads trace faults"
+        }
+        "compare" => "alg dataset input seed threads",
+        "sweep" => "what dataset input seed threads",
+        "recommend" => "vertices edges partitions navg objective",
+        "info" => "dataset input seed",
+        "gen" => "vertices edges out seed",
+        other => return Err(CliError::Usage(format!("unknown command '{other}'"))),
+    };
+    let map = flags(rest, known)?;
     if map.contains_key("help") {
         return Ok(Command::Help);
     }
@@ -304,7 +320,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 seed: get_num(&map, "seed", Some(2018u64))?,
             }))
         }
-        other => Err(CliError::Usage(format!("unknown command '{other}'"))),
+        other => unreachable!("'{other}' has no flag list"),
     }
 }
 
@@ -394,6 +410,18 @@ mod tests {
     #[test]
     fn unknown_command_rejected() {
         assert!(parse(&argv("frobnicate --x 1")).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_rejected() {
+        // A misspelt `--trace` must not run with defaults and write nothing.
+        let err = parse(&argv("run --alg bfs --dataset yt --trce out.jsonl")).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(m) if m.contains("--trce")),
+            "{err}"
+        );
+        // A flag another command takes is unknown here too.
+        assert!(parse(&argv("info --dataset yt --alg pr")).is_err());
     }
 
     #[test]

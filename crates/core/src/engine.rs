@@ -153,8 +153,8 @@ impl SimulationSession {
             }));
         }
         // The per-run artifacts (block plan, out-degrees) derive from the
-        // grid's sparse SoA edge storage once per run instead of
-        // per-iteration rescans.
+        // grid's sparse edge array once per run instead of per-iteration
+        // rescans.
         let plan = BlockPlan::build(flat, &schedule, self.strategy);
         let meta = GraphMeta {
             num_vertices: grid.num_vertices(),

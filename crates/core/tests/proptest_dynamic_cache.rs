@@ -157,6 +157,9 @@ fn edge_at_a_padding_slot_is_rejected_not_a_panic() {
         .unwrap();
     for edge in [Edge::new(0, 64), Edge::new(64, 1)] {
         let mut d = DynamicGrid::new(GridGraph::partition(&chain, 8).unwrap(), 0.30);
+        // In-place updates first: the rejected snapshot is a reshaped one.
+        d.apply(Mutation::AddEdge(Edge::new(9, 2))).unwrap();
+        d.apply(Mutation::RemoveEdge { src: 3, dst: 4 }).unwrap();
         assert_eq!(
             d.apply(Mutation::AddVertex).unwrap(),
             MutationOutcome::InPlace

@@ -14,7 +14,7 @@
 //!   and are counted as changed via the maintained degree.
 
 use crate::error::GraphError;
-use crate::flat::{Columns, FlatGrid};
+use crate::flat::FlatGrid;
 use crate::grid::GridGraph;
 use crate::partition::{BlockId, IntervalPartition};
 use crate::types::{Edge, VertexId};
@@ -228,14 +228,21 @@ impl DynamicGrid {
         hits
     }
 
-    /// Every stored edge, block by block in column-major order — the order
-    /// a fresh partition stores them in, so snapshots match one.
-    fn stored_edges(&self) -> impl Iterator<Item = &Edge> {
-        let mut blocks: Vec<&DynBlock> = self.blocks.iter().collect();
+    /// The blocks holding edges, in column-major order — the order a fresh
+    /// partition stores them in, so snapshots match one.
+    fn stored_blocks(&self) -> Vec<&DynBlock> {
+        let mut blocks: Vec<&DynBlock> = (self.blocks.iter())
+            .filter(|b| !b.edges.is_empty())
+            .collect();
         // The laid-out blocks lead, already column-major, so this stable
         // sort only sorts the blocks insertions added and merges them in.
         blocks.sort_by_key(|b| b.id);
-        blocks.into_iter().flat_map(|b| &b.edges)
+        blocks
+    }
+
+    /// Every stored edge, block by block in column-major order.
+    fn stored_edges(&self) -> impl Iterator<Item = &Edge> {
+        self.stored_blocks().into_iter().flat_map(|b| &b.edges)
     }
 
     /// Combined in+out degree of a vertex (0 after tombstoning).
@@ -273,17 +280,26 @@ impl DynamicGrid {
     /// Builds a fresh snapshot of the current grid, bypassing the cache
     /// [`grid`](Self::grid) serves.
     pub fn materialize(&self) -> GridGraph {
-        let mut columns = Columns::with_capacity(self.num_edges as usize);
-        for e in self.stored_edges() {
-            columns.push(*e);
+        // The long-lived edge array first, as in `GridGraph::partition`.
+        let mut edges = Vec::with_capacity(self.num_edges as usize);
+        let blocks = self.stored_blocks();
+        let mut offsets = Vec::with_capacity(blocks.len() + 1);
+        for b in &blocks {
+            offsets.push(edges.len());
+            edges.extend_from_slice(&b.edges);
         }
-        let flat = FlatGrid::from_columns(
-            self.partition.num_intervals(),
-            self.partition.num_vertices(),
-            columns,
-            self.blocks.len(),
-            |s, d| self.block_of(s, d),
-        );
+        let mut out_degrees = vec![0u32; self.partition.num_vertices() as usize];
+        for e in &edges {
+            // An edge may name a vertex in a reserved padding slot: the
+            // table then runs past the vertex count, so a run can tell.
+            let named = e.src.max(e.dst).index();
+            if named >= out_degrees.len() {
+                out_degrees.resize(named + 1, 0);
+            }
+            out_degrees[e.src.index()] += 1;
+        }
+        let (p, ids) = (self.partition.num_intervals(), blocks.iter().map(|b| b.id));
+        let flat = FlatGrid::new(p, ids.collect(), offsets, edges, out_degrees);
         GridGraph::from_flat(self.partition.clone(), flat)
     }
 

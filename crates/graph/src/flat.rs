@@ -1,13 +1,13 @@
-//! [`FlatGrid`]: the grid's edge storage, a sparse structure-of-arrays.
+//! [`FlatGrid`]: the grid's edge storage, one sparse edge array.
 //!
 //! The paper's §3.4 layout stores each block as a header plus an edge array,
 //! one block after another in edge memory. `FlatGrid` holds exactly that
-//! stream for the blocks that hold edges: one contiguous edge array split
-//! into parallel `src`/`dst`/`weight` columns, the list of non-empty block
-//! coordinates, and each one's start offset. Empty blocks take no space, so
-//! memory and every walk over the grid are O(E + non-empty blocks + P), not
-//! O(P²) — at the interval counts the planner picks for PageRank on TW
-//! almost all of the P² blocks are empty.
+//! stream for the blocks that hold edges: one contiguous array of
+//! [`Edge`]s, the list of non-empty block coordinates, and each one's start
+//! offset. Empty blocks take no space, so memory and every walk over the
+//! grid are O(E + non-empty blocks + P), not O(P²) — at the interval counts
+//! the planner picks for PageRank on TW almost all of the P² blocks are
+//! empty.
 //!
 //! Blocks are stored column-major — by destination interval, then by source
 //! interval ([`BlockId`]'s order). Algorithm 2 gives each PU whole
@@ -45,67 +45,43 @@ pub struct FlatGrid {
     p: u32,
     /// Coordinates of the non-empty blocks, in column-major order.
     blocks: Vec<BlockId>,
-    /// Start of each non-empty block in the edge columns, plus a final
-    /// entry equal to the edge count; length `blocks.len() + 1`.
+    /// Start of each non-empty block in the edge array, plus a final entry
+    /// equal to the edge count; length `blocks.len() + 1`.
     offsets: Vec<usize>,
-    src: Vec<u32>,
-    dst: Vec<u32>,
-    weight: Vec<f32>,
+    edges: Vec<Edge>,
     /// Per-vertex out-degree, tallied once when the grid is built so runs
     /// don't rescan the edge stream for it.
     out_degrees: Vec<u32>,
 }
 
 impl FlatGrid {
-    /// Builds the storage over edge columns already in column-major block
-    /// order, where `block_of(src, dst)` names an edge's block: one
-    /// sequential scan finds the block boundaries and tallies out-degrees.
-    /// The block index starts with room for `num_blocks` blocks.
+    /// Builds the storage over an edge array in column-major block order
+    /// from its block index: the non-empty blocks and where each starts.
+    /// `out_degrees` tallies every edge's source; it runs past the vertex
+    /// count when edges name reserved padding slots.
     ///
     /// # Panics
     ///
-    /// Panics if the columns are not in column-major block order: a block
-    /// out of order would make [`block_range`](Self::block_range) miss it
-    /// and split a PU's column.
-    pub(crate) fn from_columns(
+    /// Panics if the blocks are not in column-major order: a block out of
+    /// order would make [`block_range`](Self::block_range) miss it and
+    /// split a PU's column.
+    pub(crate) fn new(
         p: u32,
-        num_vertices: u32,
-        columns: Columns,
-        num_blocks: usize,
-        block_of: impl Fn(u32, u32) -> BlockId,
+        blocks: Vec<BlockId>,
+        mut offsets: Vec<usize>,
+        edges: Vec<Edge>,
+        out_degrees: Vec<u32>,
     ) -> Self {
-        let Columns { src, dst, weight } = columns;
-        let mut blocks: Vec<BlockId> = Vec::with_capacity(num_blocks);
-        let mut offsets = Vec::with_capacity(num_blocks + 1);
-        let mut out_degrees = vec![0u32; num_vertices as usize];
-        for (i, (&s, &d)) in src.iter().zip(&dst).enumerate() {
-            let id = block_of(s, d);
-            if blocks.last() != Some(&id) {
-                assert!(
-                    blocks.last() < Some(&id),
-                    "blocks out of column-major order"
-                );
-                blocks.push(id);
-                offsets.push(i);
-            }
-            // Dynamic updates may append edges whose endpoints live in
-            // reserved padding slots beyond the materialised vertex count;
-            // grow to cover either endpoint rather than panic on those, so
-            // a run can tell the grid names vertices it does not hold.
-            let named = s.max(d) as usize;
-            if named >= out_degrees.len() {
-                out_degrees.resize(named + 1, 0);
-            }
-            out_degrees[s as usize] += 1;
-        }
-        offsets.push(src.len());
+        assert!(
+            blocks.windows(2).all(|w| w[0] < w[1]),
+            "blocks out of column-major order"
+        );
+        offsets.push(edges.len());
         FlatGrid {
             p,
             blocks,
             offsets,
-            src,
-            dst,
-            weight,
+            edges,
             out_degrees,
         }
     }
@@ -117,7 +93,7 @@ impl FlatGrid {
 
     /// Number of edges.
     pub fn num_edges(&self) -> u64 {
-        self.src.len() as u64
+        self.edges.len() as u64
     }
 
     /// Number of blocks holding at least one edge.
@@ -130,7 +106,7 @@ impl FlatGrid {
         &self.blocks
     }
 
-    /// The `i`-th non-empty block (column-major) and its edge-column range.
+    /// The `i`-th non-empty block (column-major) and its edge-array range.
     ///
     /// # Panics
     ///
@@ -140,12 +116,12 @@ impl FlatGrid {
     }
 
     /// Iterates the non-empty blocks in column-major order with their
-    /// edge-column ranges.
+    /// edge-array ranges.
     pub fn blocks(&self) -> impl Iterator<Item = (BlockId, Range<usize>)> + '_ {
         (0..self.blocks.len()).map(|i| self.block(i))
     }
 
-    /// The edge-column range of the block at (src interval, dst interval),
+    /// The edge-array range of the block at (src interval, dst interval),
     /// found by binary search over the non-empty blocks; empty for a block
     /// without edges.
     ///
@@ -169,24 +145,20 @@ impl FlatGrid {
         self.block_range(src, dst).len()
     }
 
-    /// Iterates the block's edges, materialised by value from the columns.
+    /// Iterates the block's edges.
     pub fn block_edges(&self, src: u32, dst: u32) -> impl Iterator<Item = Edge> + '_ {
         self.edges_in(self.block_range(src, dst))
     }
 
-    /// Iterates the edges in an arbitrary column `range` (as produced by
-    /// [`block`](Self::block) or [`block_range`](Self::block_range)).
+    /// Iterates the edges in an arbitrary edge-array `range` (as produced
+    /// by [`block`](Self::block) or [`block_range`](Self::block_range)).
     pub fn edges_in(&self, range: Range<usize>) -> impl Iterator<Item = Edge> + '_ {
-        self.src[range.clone()]
-            .iter()
-            .zip(&self.dst[range.clone()])
-            .zip(&self.weight[range])
-            .map(|((&s, &d), &w)| Edge::with_weight(s, d, w))
+        self.edges[range].iter().copied()
     }
 
     /// Iterates every edge, block by block in column-major order.
     pub fn iter_edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.edges_in(0..self.src.len())
+        self.edges.iter().copied()
     }
 
     /// Out-degree of every vertex, tallied once when the grid was built.
@@ -199,50 +171,6 @@ impl FlatGrid {
     }
 }
 
-/// Edge columns in column-major block order, as [`FlatGrid::from_columns`]
-/// takes them.
-#[derive(Debug)]
-pub(crate) struct Columns {
-    pub(crate) src: Vec<u32>,
-    pub(crate) dst: Vec<u32>,
-    pub(crate) weight: Vec<f32>,
-}
-
-impl Columns {
-    /// Empty columns with room for `n` edges.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        Columns {
-            src: Vec::with_capacity(n),
-            dst: Vec::with_capacity(n),
-            weight: Vec::with_capacity(n),
-        }
-    }
-
-    /// Appends one edge.
-    pub(crate) fn push(&mut self, e: Edge) {
-        self.src.push(e.src.raw());
-        self.dst.push(e.dst.raw());
-        self.weight.push(e.weight);
-    }
-
-    /// Replaces every edge with a copy of `other`'s edges in `range`.
-    pub(crate) fn copy_range(&mut self, other: &Columns, range: Range<usize>) {
-        self.src.clear();
-        self.src.extend_from_slice(&other.src[range.clone()]);
-        self.dst.clear();
-        self.dst.extend_from_slice(&other.dst[range.clone()]);
-        self.weight.clear();
-        self.weight.extend_from_slice(&other.weight[range]);
-    }
-
-    /// Overwrites edge `at` with `other`'s edge `from`.
-    pub(crate) fn set(&mut self, at: usize, other: &Columns, from: usize) {
-        self.src[at] = other.src[from];
-        self.dst[at] = other.dst[from];
-        self.weight[at] = other.weight[from];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +179,7 @@ mod tests {
     use crate::grid::GridGraph;
 
     #[test]
-    fn blocks_tile_the_edge_columns() {
+    fn blocks_tile_the_edge_array() {
         let grid = GridGraph::partition(&fig1(), 4).unwrap();
         let flat = grid.flat();
         assert_eq!(flat.num_intervals(), 4);
@@ -306,12 +234,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "blocks out of column-major order")]
-    fn row_major_columns_are_rejected() {
+    fn out_of_order_blocks_are_rejected() {
         // e0.7 (B0.3) then e2.4 (B1.2): row-major, but B1.2 must lead.
-        let mut columns = Columns::with_capacity(2);
-        columns.push(Edge::new(0, 7));
-        columns.push(Edge::new(2, 4));
-        let _ = FlatGrid::from_columns(4, 8, columns, 2, |s, d| BlockId::new(s / 2, d / 2));
+        let edges = vec![Edge::new(0, 7), Edge::new(2, 4)];
+        let blocks = vec![BlockId::new(0, 3), BlockId::new(1, 2)];
+        let _ = FlatGrid::new(4, blocks, vec![0, 1], edges, vec![1, 0, 1, 0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -4,19 +4,18 @@
 //!
 //! Each block is a header (source interval index, destination interval
 //! index, edge count) followed by an edge array — the paper's §3.4 layout.
-//! The grid stores only the blocks that hold edges, as one sparse
-//! [`FlatGrid`], column-major: by destination interval, then by source
-//! interval, the order Algorithm 2's PUs stream them in. The header charge
-//! is still the §3.4 one for all P² blocks (see
+//! The grid stores only the blocks that hold edges, one after another in
+//! one sparse edge array ([`FlatGrid`]), column-major: by destination
+//! interval, then by source interval, the order Algorithm 2's PUs stream
+//! them in. The header charge is still the §3.4 one for all P² blocks (see
 //! [`GridGraph::edge_storage_bits`]). Dynamic updates (§5) go through
 //! [`DynamicGrid`](crate::DynamicGrid), which keeps the per-block slack.
 
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
-use crate::flat::{Columns, FlatGrid};
+use crate::flat::FlatGrid;
 use crate::partition::{BlockId, IntervalPartition};
 use crate::types::{Edge, VertexId};
-use std::ops::Range;
 
 /// Bits of one block header: source interval, destination interval and
 /// edge count, 32 bits each (§3.4).
@@ -45,52 +44,75 @@ pub struct GridGraph {
 impl GridGraph {
     /// Partitions an edge list into a P×P grid of contiguous intervals.
     ///
-    /// One stable scatter by destination interval writes every edge into
-    /// its destination interval's column of the final edge columns. Each
-    /// column is then reordered stably by source interval, through scratch
-    /// the size of the largest column. That leaves the blocks column-major
-    /// (see [`BlockId`]) and every block's edges in input order, in
-    /// O(E + V + P) time, and holds nothing beyond the grid but that
-    /// scratch and a per-vertex interval table.
+    /// One stable counting pass places every edge in the final edge array,
+    /// tallying out-degrees as it counts. A counting pass costs the edges
+    /// plus its tally, so it takes one bucket per block, keyed by
+    /// (destination interval, source interval), when `P² ≤ E`, and reads
+    /// the block index off the tally. When `P² > E` it takes one bucket per
+    /// destination column instead, and each column is then sorted stably
+    /// by source interval through scratch the size of the largest column.
+    /// Either way the blocks come out column-major (see [`BlockId`]) and
+    /// each block's edges in input order, in O(E + V + P) time.
     ///
     /// # Errors
     ///
     /// Propagates [`IntervalPartition::new`] errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge list holds 2³² edges or more.
     pub fn partition(g: &EdgeList, p: u32) -> Result<Self, GraphError> {
         let partition = IntervalPartition::new(g.num_vertices(), p)?;
         let interval: Vec<u32> = (0..g.num_vertices())
             .map(|v| partition.interval_of(VertexId::new(v)))
             .collect();
         let edges = g.edges();
-        let n = edges.len();
-        // Column c spans bounds[c]..bounds[c + 1] of the edge columns.
-        let mut bounds = vec![0usize; p as usize + 1];
-        for e in edges {
-            bounds[interval[e.dst.index()] as usize + 1] += 1;
-        }
-        for c in 1..bounds.len() {
-            bounds[c] += bounds[c - 1];
-        }
-        let mut next = bounds.clone();
-        let mut columns = Columns {
-            src: vec![0; n],
-            dst: vec![0; n],
-            weight: vec![0.0; n],
+        assert!(
+            u32::try_from(edges.len()).is_ok(),
+            "a grid's edge positions must fit 32 bits"
+        );
+        let width = p as usize;
+        let by_block = width.checked_mul(width).is_some_and(|n| n <= edges.len());
+        let bucket = |e: &Edge| {
+            let column = interval[e.dst.index()] as usize;
+            if by_block {
+                column * width + interval[e.src.index()] as usize
+            } else {
+                column
+            }
         };
+        // The edge array first: it is the one long-lived allocation, so it
+        // takes the space the last grid freed before the tally can split it.
+        let mut stored = vec![Edge::new(0, 0); edges.len()];
+        let mut ends = vec![0u32; if by_block { width * width } else { width }];
+        let mut out_degrees = vec![0u32; g.num_vertices() as usize];
         for e in edges {
-            let at = &mut next[interval[e.dst.index()] as usize];
-            columns.src[*at] = e.src.raw();
-            columns.dst[*at] = e.dst.raw();
-            columns.weight[*at] = e.weight;
-            *at += 1;
+            ends[bucket(e)] += 1;
+            out_degrees[e.src.index()] += 1;
         }
+        place(edges, &mut stored, &mut ends, bucket);
+        let (mut blocks, mut offsets) = (Vec::new(), Vec::new());
+        let mut list = |id, at| {
+            blocks.push(id);
+            offsets.push(at);
+        };
         let mut sort = ColumnSort::new(p);
-        let num_blocks: usize = (bounds.windows(2))
-            .map(|w| sort.finish(&mut columns, w[0]..w[1], &interval))
-            .sum();
-        let flat = FlatGrid::from_columns(p, g.num_vertices(), columns, num_blocks, |s, d| {
-            BlockId::new(interval[s as usize], interval[d as usize])
-        });
+        let mut begin = 0;
+        for (b, &end) in ends.iter().enumerate() {
+            let range = begin as usize..end as usize;
+            begin = end;
+            if range.is_empty() {
+                continue;
+            }
+            if by_block {
+                let id = BlockId::new((b % width) as u32, (b / width) as u32);
+                list(id, range.start);
+            } else {
+                let at = range.start;
+                sort.finish(&mut stored[range], at, b as u32, &interval, &mut list);
+            }
+        }
+        let flat = FlatGrid::new(p, blocks, offsets, stored, out_degrees);
         Ok(GridGraph { partition, flat })
     }
 
@@ -143,8 +165,8 @@ impl GridGraph {
         u64::from(self.num_intervals()) * 64 + u64::from(self.num_vertices()) * value_bits
     }
 
-    /// The grid's edge storage — the sparse structure-of-arrays layout the
-    /// simulator's hot loop walks.
+    /// The grid's edge storage — the sparse edge array the simulator's hot
+    /// loop walks.
     pub fn flat(&self) -> &FlatGrid {
         &self.flat
     }
@@ -158,6 +180,22 @@ impl GridGraph {
     }
 }
 
+/// The placing half of a stable counting sort: turns the per-bucket
+/// counts in `next` into each bucket's start, then writes every item of
+/// `from` to the next free slot of its `bucket` in `into`. `next` ends up
+/// holding where each bucket ends.
+fn place<T: Copy>(from: &[T], into: &mut [T], next: &mut [u32], bucket: impl Fn(&T) -> usize) {
+    let mut sum = 0;
+    for t in next.iter_mut() {
+        (*t, sum) = (sum, sum + *t);
+    }
+    for x in from {
+        let at = &mut next[bucket(x)];
+        into[*at as usize] = *x;
+        *at += 1;
+    }
+}
+
 /// Widest radix digit [`ColumnSort`] uses on a column shorter than its
 /// full tally: 256 counts fit in L1.
 const MAX_DIGIT_BITS: u32 = 8;
@@ -165,104 +203,75 @@ const MAX_DIGIT_BITS: u32 = 8;
 /// A stable sort of one destination column's edges by source interval.
 /// Its scratch grows to the largest column and is reused for every column
 /// after it.
+#[derive(Default)]
 struct ColumnSort {
     /// Bits of the largest interval index.
     bits: u32,
-    /// Per digit value, its count, then its next output slot.
-    tally: Vec<usize>,
+    /// Per digit value, its next output slot.
+    tally: Vec<u32>,
     /// One `source interval << 32 | position in the column` per edge.
     keys: Vec<u64>,
     spare: Vec<u64>,
     /// The column's edges as they stood before the sort.
-    copy: Columns,
+    copy: Vec<Edge>,
 }
 
 impl ColumnSort {
     /// A sorter for interval indices below `p`.
     fn new(p: u32) -> Self {
+        let bits = u32::BITS - (p - 1).leading_zeros();
         ColumnSort {
-            bits: u32::BITS - (p - 1).leading_zeros(),
-            tally: Vec::new(),
-            keys: Vec::new(),
-            spare: Vec::new(),
-            copy: Columns::with_capacity(0),
+            bits,
+            ..Self::default()
         }
     }
 
-    /// Reorders `columns[range]`, one destination column, stably by source
-    /// interval, and returns the number of blocks it holds.
+    /// Reorders `column`, destination column `dst` of the edge array from
+    /// edge `base` on, stably by source interval, and `list`s its blocks.
     ///
-    /// A counting pass costs the column's length plus its tally. A column
-    /// at least as long as the full tally (one count per value of a
-    /// `bits`-bit interval index) takes a single pass that streams its
-    /// edges into place. A shorter one is LSD radix sorted in cache on
-    /// digits of at most [`MAX_DIGIT_BITS`], then gathered into place.
-    fn finish(&mut self, columns: &mut Columns, range: Range<usize>, interval: &[u32]) -> usize {
-        let bits = self.bits;
-        if bits == 0 || range.is_empty() {
-            // One interval, or no edges: at most one block.
-            return usize::from(!range.is_empty());
-        }
-        assert!(
-            range.len() as u64 <= 1 << 32,
-            "a column's positions must fit the keys' low 32 bits"
-        );
+    /// A column at least as long as the full tally (one count per value of
+    /// a `bits`-bit interval index) takes one counting pass on the whole
+    /// index. A shorter one takes passes on digits of at most
+    /// [`MAX_DIGIT_BITS`], so that each pass's tally stays in cache.
+    fn finish(
+        &mut self,
+        column: &mut [Edge],
+        base: usize,
+        dst: u32,
+        interval: &[u32],
+        list: &mut impl FnMut(BlockId, usize),
+    ) {
         self.keys.clear();
         self.keys.extend(
-            (columns.src[range.clone()].iter().zip(0u64..))
-                .map(|(&s, at)| u64::from(interval[s as usize]) << 32 | at),
+            (column.iter().zip(0u64..))
+                .map(|(e, at)| u64::from(interval[e.src.index()]) << 32 | at),
         );
-        if !self.keys.is_sorted() {
-            self.copy.copy_range(columns, range.clone());
-            if self.keys.len() >> bits > 0 {
-                // The keys are in column order, so this one pass reads the
-                // copy sequentially and streams each edge to its slot.
-                let blocks = self.count(32, bits);
-                for (from, &k) in self.keys.iter().enumerate() {
-                    let to = &mut self.tally[(k >> 32) as usize];
-                    columns.set(range.start + *to, &self.copy, from);
-                    *to += 1;
-                }
-                return blocks;
+        let passes = match self.keys.len() >> self.bits {
+            0 => self.bits.div_ceil(MAX_DIGIT_BITS),
+            _ => 1,
+        };
+        let width = self.bits.div_ceil(passes);
+        self.spare.resize(self.keys.len(), 0);
+        for shift in (0..passes).map(|pass| 32 + pass * width) {
+            let digit = |k: &u64| (k >> shift) as usize & ((1 << width) - 1);
+            self.tally.clear();
+            self.tally.resize(1 << width, 0);
+            for k in &self.keys {
+                self.tally[digit(k)] += 1;
             }
-            let passes = bits.div_ceil(MAX_DIGIT_BITS);
-            let width = bits.div_ceil(passes);
-            self.spare.resize(self.keys.len(), 0);
-            for shift in (0..passes).map(|pass| 32 + pass * width) {
-                self.count(shift, width);
-                for &k in &self.keys {
-                    let to = &mut self.tally[(k >> shift) as usize & ((1 << width) - 1)];
-                    self.spare[*to] = k;
-                    *to += 1;
-                }
-                std::mem::swap(&mut self.keys, &mut self.spare);
-            }
-            for (to, &k) in range.zip(&self.keys) {
-                columns.set(to, &self.copy, k as u32 as usize);
-            }
+            place(&self.keys, &mut self.spare, &mut self.tally, digit);
+            std::mem::swap(&mut self.keys, &mut self.spare);
         }
-        1 + (self.keys.windows(2))
-            .filter(|w| w[0] >> 32 != w[1] >> 32)
-            .count()
-    }
-
-    /// Sets the tally to the start of each `width`-bit digit value's
-    /// bucket, the digit being the key's bits from `shift` up, and returns
-    /// the number of non-empty buckets.
-    fn count(&mut self, shift: u32, width: u32) -> usize {
-        let tally = &mut self.tally;
-        tally.clear();
-        tally.resize(1 << width, 0);
-        for &k in &self.keys {
-            tally[(k >> shift) as usize & ((1 << width) - 1)] += 1;
+        self.copy.clear();
+        self.copy.extend_from_slice(column);
+        for (slot, &k) in column.iter_mut().zip(&self.keys) {
+            *slot = self.copy[k as u32 as usize];
         }
-        let mut sum = 0;
-        let mut buckets = 0;
-        for t in tally.iter_mut() {
-            buckets += usize::from(*t > 0);
-            (*t, sum) = (sum, sum + *t);
+        let mut at = base;
+        for block in self.keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            list(BlockId::new((block[0] >> 32) as u32, dst), at);
+            at += block.len();
         }
-        buckets
     }
 }
 
@@ -376,5 +385,6 @@ pub(crate) mod tests {
         assert_eq!(grid.num_edges(), 0);
         assert_eq!(grid.non_empty_blocks(), 0);
         assert_eq!(grid.edge_storage_bits(), 16 * 96);
+        assert_eq!(GridGraph::partition(&g, 1).unwrap().non_empty_blocks(), 0);
     }
 }

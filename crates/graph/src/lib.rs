@@ -5,10 +5,10 @@
 //! * [`EdgeList`] / [`Csr`] — basic containers,
 //! * [`GridGraph`] — the interval-block (P×P) partitioning of §2.1/Fig. 1
 //!   over contiguous vertex intervals, built in O(E + V + P) by one stable
-//!   scatter and a per-column sort,
+//!   counting sort,
 //! * [`FlatGrid`] — a grid's edge storage: §3.4's contiguous edge stream as
-//!   structure-of-arrays columns, over the non-empty blocks only, so memory
-//!   and walks are O(E + non-empty blocks + P) rather than O(P²),
+//!   one array of [`Edge`]s, over the non-empty blocks only, so memory and
+//!   walks are O(E + non-empty blocks + P) rather than O(P²),
 //! * [`DynamicGrid`] — the O(1) add/delete working flow for evolving graphs
 //!   (§5), with per-block reserved slack for the blocks that hold or have
 //!   held edges and a lazily rebuilt [`GridGraph`] snapshot,

@@ -199,6 +199,26 @@ proptest! {
         }
     }
 
+    /// After in-place edge adds and removes the snapshot equals a fresh
+    /// partition of the live edges.
+    #[test]
+    fn snapshot_equals_partition_of_live_edges(
+        g in arb_graph(),
+        p in 1u32..8,
+        ops in proptest::collection::vec((any::<bool>(), 0u32..48, 0u32..48), 0..80),
+    ) {
+        let nv = g.num_vertices();
+        let mut d = DynamicGrid::new(GridGraph::partition(&g, p).unwrap(), 0.3);
+        for (add, a, b) in ops {
+            let (src, dst) = if add { (a % nv, b % 4) } else { (a % 4, b % 4) };
+            let _ = d.apply(match add {
+                true => Mutation::AddEdge(Edge::new(src, dst)),
+                false => Mutation::RemoveEdge { src, dst },
+            });
+        }
+        prop_assert_eq!(d.grid(), &GridGraph::partition(&d.live_edge_list(), p).unwrap());
+    }
+
     /// With a zero vertex reserve every append exhausts the (empty) reserve
     /// immediately: each AddVertex takes the full re-preprocessing path, and
     /// the rebuilt grid keeps the invariants and equals a fresh partition.

@@ -236,6 +236,20 @@ proptest! {
     }
 }
 
+/// Fixed graphs on each side of the partitioner's `P² ≤ E` rule: with
+/// `P² = E` it places every edge in one pass keyed by block, with
+/// `P² = E + 1` it scatters by column and sorts each column.
+#[test]
+fn partition_at_the_block_count_boundary() {
+    let p = 6;
+    for len in [36, 35] {
+        let mut g = EdgeList::new(40);
+        g.extend((0..len).map(|i| Edge::with_weight(i * 17 % 40, (i * 23 + 1) % 40, i as f32)));
+        check_naive_bucketing(&g, p).unwrap();
+        check_column_major(&GridGraph::partition(&g, p).unwrap()).unwrap();
+    }
+}
+
 /// The sparse grid equals a naive stable bucketing: the same edge sequence
 /// in every block (empty ones included), the same non-empty block count,
 /// the same §3.4 storage charge summed block by block, and the same

@@ -80,36 +80,33 @@ grep -q "§6.6 recommender" <<<"$model" || {
     exit 1
   }
 
-echo "==> benchmark smoke (perfbench builds and passes its checks)"
-last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-  --workload config-sweep --seconds 1 --trace 0 | tail -n 1)"
-grep -q '"correct": true' <<<"$last" || {
-    echo "perfbench smoke failed: $last" >&2
+# Each smoke must pass perfbench's own checks and reproduce the simulated
+# output pinned at the default seed (2018): a host-only change keeps it.
+bench_smoke() {
+  local workload=$1 trace=$2 digest=$3 out
+  out="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seconds 1 --trace "$trace")"
+  grep -q '"correct": true' <<<"$(tail -n 1 <<<"$out")" || {
+    echo "perfbench $workload --trace $trace smoke failed: $(tail -n 1 <<<"$out")" >&2
     exit 1
   }
+  grep -qx "sim_digest $digest" <<<"$out" || {
+    echo "perfbench $workload --trace $trace changed its simulated output:" \
+      "$(grep sim_digest <<<"$out"), expected $digest" >&2
+    exit 1
+  }
+}
+
+echo "==> benchmark smoke (perfbench builds, passes its checks, keeps its sim_digest)"
+bench_smoke config-sweep 0 b1a69d5d9ed42f47
 
 echo "==> traced benchmark smoke (perfbench's trace sink splits every run)"
-last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-  --workload config-sweep --seconds 1 --trace 1 | tail -n 1)"
-grep -q '"correct": true' <<<"$last" || {
-    echo "perfbench traced smoke failed: $last" >&2
-    exit 1
-  }
+bench_smoke config-sweep 1 b1a69d5d9ed42f47
 
 echo "==> P = 5096 benchmark smoke (TW partition, flatten and sweep at the planner's P)"
-last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-  --workload accum-tw --seconds 1 --trace 0 | tail -n 1)"
-grep -q '"correct": true' <<<"$last" || {
-    echo "perfbench accum-tw smoke failed: $last" >&2
-    exit 1
-  }
+bench_smoke accum-tw 0 adbe8c72bb71c21a
 
 echo "==> dynamic benchmark smoke (column-major snapshots and repartition at scale)"
-last="$(cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-  --workload dynamic-lj --seconds 1 --trace 0 | tail -n 1)"
-grep -q '"correct": true' <<<"$last" || {
-    echo "perfbench dynamic-lj smoke failed: $last" >&2
-    exit 1
-  }
+bench_smoke dynamic-lj 0 0741e780f261c73b
 
 echo "All checks passed."
