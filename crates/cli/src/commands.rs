@@ -5,12 +5,14 @@ use crate::args::{
     SweepArgs,
 };
 use crate::CliError;
-use hyve_algorithms::{Bfs, ConnectedComponents, DegreeCentrality, PageRank, SpMv, Sssp};
+use hyve_algorithms::{
+    Bfs, ConnectedComponents, DegreeCentrality, EdgeProgram, PageRank, SpMv, Sssp,
+};
 use hyve_baselines::CpuSystem;
 use hyve_core::{
-    FaultPlan, RunReport, SharedRecorder, SimulationSession, SystemConfig, TraceArtifact,
+    CoreError, FaultPlan, RunReport, SharedRecorder, SimulationSession, SystemConfig, TraceArtifact,
 };
-use hyve_graph::{block_sparsity, io, DatasetProfile, EdgeList, Rmat, VertexId};
+use hyve_graph::{block_sparsity, io, DatasetProfile, EdgeList, GraphError, Rmat, VertexId};
 use hyve_graphr::GraphrEngine;
 use hyve_memsim::CellBits;
 use hyve_model::{recommend, Objective, WorkloadShape};
@@ -112,29 +114,83 @@ fn session_with_trace(
     builder.build().map_err(|e| CliError::Usage(e.to_string()))
 }
 
-fn run_algorithm(
-    name: &str,
-    session: &SimulationSession,
-    graph: &EdgeList,
-    iterations: u32,
-) -> Result<RunReport, CliError> {
-    let result = match name {
-        "pr" => session.run_on_edge_list(&PageRank::new(iterations), graph),
-        "bfs" => session.run_on_edge_list(&Bfs::new(VertexId::new(0)), graph),
-        "cc" => session.run_on_edge_list(&ConnectedComponents::new(), graph),
-        "sssp" => session.run_on_edge_list(&Sssp::new(VertexId::new(0)), graph),
-        "spmv" => session.run_on_edge_list(&SpMv::new(), graph),
-        "degree" => session.run_on_edge_list(&DegreeCentrality::new(), graph),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown algorithm '{other}' (use pr/bfs/cc/sssp/spmv/degree)"
-            )))
+/// An `--alg` name, resolved once before any run.
+#[derive(Clone, Copy)]
+enum Algorithm {
+    /// PageRank for this many iterations.
+    Pr(u32),
+    Bfs,
+    Cc,
+    Sssp,
+    SpMv,
+    Degree,
+}
+
+impl Algorithm {
+    /// Resolves `name`; `iterations` bounds PageRank.
+    fn parse(name: &str, iterations: u32) -> Result<Self, CliError> {
+        Ok(match name {
+            "pr" => Algorithm::Pr(iterations),
+            "bfs" => Algorithm::Bfs,
+            "cc" => Algorithm::Cc,
+            "sssp" => Algorithm::Sssp,
+            "spmv" => Algorithm::SpMv,
+            "degree" => Algorithm::Degree,
+            other => {
+                return Err(CliError::Usage(format!(
+                    "unknown algorithm '{other}' (use pr/bfs/cc/sssp/spmv/degree)"
+                )))
+            }
+        })
+    }
+
+    /// Runs the algorithm on `system`.
+    fn run_on(self, system: &impl System, graph: &EdgeList) -> Result<RunReport, CliError> {
+        let source = VertexId::new(0);
+        match self {
+            Algorithm::Pr(iterations) => system.run_program(&PageRank::new(iterations), graph),
+            Algorithm::Bfs => system.run_program(&Bfs::new(source), graph),
+            Algorithm::Cc => system.run_program(&ConnectedComponents::new(), graph),
+            Algorithm::Sssp => system.run_program(&Sssp::new(source), graph),
+            Algorithm::SpMv => system.run_program(&SpMv::new(), graph),
+            Algorithm::Degree => system.run_program(&DegreeCentrality::new(), graph),
         }
-    };
-    result.map_err(|e| CliError::Failed(e.to_string()))
+        .map_err(|e| CliError::Failed(e.to_string()))
+    }
+}
+
+/// A simulated system that runs any edge program on an edge list: a HyVE
+/// session or the GraphR engine.
+trait System {
+    fn run_program<P: EdgeProgram>(
+        &self,
+        program: &P,
+        graph: &EdgeList,
+    ) -> Result<RunReport, CoreError>;
+}
+
+impl System for SimulationSession {
+    fn run_program<P: EdgeProgram>(
+        &self,
+        program: &P,
+        graph: &EdgeList,
+    ) -> Result<RunReport, CoreError> {
+        self.run_on_edge_list(program, graph)
+    }
+}
+
+impl System for GraphrEngine {
+    fn run_program<P: EdgeProgram>(
+        &self,
+        program: &P,
+        graph: &EdgeList,
+    ) -> Result<RunReport, CoreError> {
+        self.run(program, graph)
+    }
 }
 
 fn run<W: Write>(args: RunArgs, out: &mut W) -> Result<(), CliError> {
+    let algorithm = Algorithm::parse(&args.algorithm, args.iterations)?;
     let (graph, scale, name) = load(&args.source)?;
     let mut cfg = config_by_name(&args.config)?.with_dataset_scale(scale);
     if let Some(mb) = args.sram_mb {
@@ -153,7 +209,7 @@ fn run<W: Write>(args: RunArgs, out: &mut W) -> Result<(), CliError> {
         .transpose()?;
     let recorder = args.trace.as_ref().map(|_| SharedRecorder::default());
     let session = session_with_trace(cfg, args.threads, recorder.clone(), faults)?;
-    let report = run_algorithm(&args.algorithm, &session, &graph, args.iterations)?;
+    let report = algorithm.run_on(&session, &graph)?;
     writeln!(out, "graph : {name}").map_err(io_err)?;
     writeln!(out, "{report}").map_err(io_err)?;
     writeln!(
@@ -260,6 +316,7 @@ fn report<W: Write>(args: ReportArgs, out: &mut W) -> Result<(), CliError> {
 }
 
 fn compare<W: Write>(args: CompareArgs, out: &mut W) -> Result<(), CliError> {
+    let algorithm = Algorithm::parse(&args.algorithm, 10)?;
     let (graph, scale, name) = load(&args.source)?;
     writeln!(out, "graph : {name}").map_err(io_err)?;
     let mut edges_processed = 0;
@@ -273,7 +330,7 @@ fn compare<W: Write>(args: CompareArgs, out: &mut W) -> Result<(), CliError> {
         let cfg = cfg.with_dataset_scale(scale);
         let label = cfg.name;
         let session = session_for(cfg, args.threads)?;
-        let report = run_algorithm(&args.algorithm, &session, &graph, 10)?;
+        let report = algorithm.run_on(&session, &graph)?;
         edges_processed = report.edges_processed;
         writeln!(
             out,
@@ -285,15 +342,7 @@ fn compare<W: Write>(args: CompareArgs, out: &mut W) -> Result<(), CliError> {
         .map_err(io_err)?;
     }
     // GraphR and the CPU baselines for context.
-    let graphr_report = match args.algorithm.as_str() {
-        "pr" => GraphrEngine::new().run(&PageRank::new(10), &graph),
-        "bfs" => GraphrEngine::new().run(&Bfs::new(VertexId::new(0)), &graph),
-        "cc" => GraphrEngine::new().run(&ConnectedComponents::new(), &graph),
-        "sssp" => GraphrEngine::new().run(&Sssp::new(VertexId::new(0)), &graph),
-        "spmv" => GraphrEngine::new().run(&SpMv::new(), &graph),
-        other => return Err(CliError::Usage(format!("unknown algorithm '{other}'"))),
-    }
-    .map_err(|e| CliError::Failed(e.to_string()))?;
+    let graphr_report = algorithm.run_on(&GraphrEngine::new(), &graph)?;
     writeln!(
         out,
         "{:<16} {:>9.1} MTEPS/W  {:>12}  {:>12}",
@@ -319,14 +368,13 @@ fn sweep<W: Write>(args: SweepArgs, out: &mut W) -> Result<(), CliError> {
     let (graph, scale, name) = load(&args.source)?;
     writeln!(out, "graph : {name}").map_err(io_err)?;
     let base = SystemConfig::hyve_opt().with_dataset_scale(scale);
+    let pr = Algorithm::Pr(10);
     match args.what.as_str() {
         "sram" => {
             for mb in [2u64, 4, 8, 16] {
-                let report = run_algorithm(
-                    "pr",
+                let report = pr.run_on(
                     &session_for(base.clone().with_sram_mb(mb), args.threads)?,
                     &graph,
-                    10,
                 )?;
                 writeln!(
                     out,
@@ -339,11 +387,9 @@ fn sweep<W: Write>(args: SweepArgs, out: &mut W) -> Result<(), CliError> {
         }
         "cells" => {
             for bits in CellBits::all() {
-                let report = run_algorithm(
-                    "pr",
+                let report = pr.run_on(
                     &session_for(base.clone().with_cell_bits(bits), args.threads)?,
                     &graph,
-                    10,
                 )?;
                 writeln!(out, "{bits} : {:>8.1} MTEPS/W", report.mteps_per_watt())
                     .map_err(io_err)?;
@@ -351,11 +397,9 @@ fn sweep<W: Write>(args: SweepArgs, out: &mut W) -> Result<(), CliError> {
         }
         "density" => {
             for gbit in [4u32, 8, 16] {
-                let report = run_algorithm(
-                    "pr",
+                let report = pr.run_on(
                     &session_for(base.clone().with_density(gbit), args.threads)?,
                     &graph,
-                    10,
                 )?;
                 writeln!(
                     out,
@@ -416,6 +460,11 @@ fn recommend_cmd<W: Write>(args: RecommendArgs, out: &mut W) -> Result<(), CliEr
 fn info<W: Write>(args: SourceArgs, out: &mut W) -> Result<(), CliError> {
     let (graph, scale, name) = load(&args)?;
     writeln!(out, "graph : {name}").map_err(io_err)?;
+    if graph.num_vertices() == 0 {
+        // The error every command that runs the graph stops with.
+        let err = CoreError::from(GraphError::EmptyGraph);
+        return Err(CliError::Failed(err.to_string()));
+    }
     let deg = hyve_graph::DegreeStats::out_degrees(&graph);
     let stats = block_sparsity(&graph, 8);
     writeln!(out, "vertices          : {}", graph.num_vertices()).map_err(io_err)?;
@@ -509,10 +558,13 @@ mod tests {
     }
 
     #[test]
-    fn compare_lists_all_systems() {
-        let s = exec("compare --alg spmv --dataset yt").unwrap();
-        for label in ["acc+DRAM", "acc+HyVE-opt", "GraphR", "CPU+DRAM"] {
-            assert!(s.contains(label), "missing {label} in {s}");
+    fn compare_lists_all_systems_for_every_algorithm_run_takes() {
+        for alg in ["pr", "bfs", "cc", "sssp", "spmv", "degree"] {
+            exec(&format!("run --alg {alg} --dataset yt --iters 2")).unwrap();
+            let s = exec(&format!("compare --alg {alg} --dataset yt")).unwrap();
+            for label in ["acc+DRAM", "acc+HyVE-opt", "\nGraphR ", "CPU+DRAM"] {
+                assert!(s.contains(label), "missing {label} for {alg} in {s}");
+            }
         }
     }
 

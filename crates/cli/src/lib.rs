@@ -69,7 +69,7 @@ pub const USAGE: &str = "\
 hyve — Hybrid Vertex-Edge memory hierarchy simulator
 
 USAGE:
-  hyve run       --alg <pr|bfs|cc|sssp|spmv> [--config <name>] (--dataset <tag> | --input <file>)
+  hyve run       --alg <pr|bfs|cc|sssp|spmv|degree> [--config <name>] (--dataset <tag> | --input <file>)
                  [--iters N] [--seed N] [--sram-mb N] [--no-sharing] [--no-gating] [--threads N]
                  [--trace <file.jsonl>] [--faults <spec>]
   hyve report    <artifact.jsonl> [<baseline.jsonl>]

@@ -51,3 +51,27 @@ fn report_on_unparsable_artifact_exits_one() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     std::fs::remove_file(path).ok();
 }
+
+#[test]
+fn graph_without_vertices_exits_one_for_every_command() {
+    let dir = std::env::temp_dir().join("hyve-cli-exit-codes");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("empty.txt");
+    std::fs::write(&path, "").unwrap();
+    let input = path.to_str().unwrap();
+    for command in [
+        &["info"][..],
+        &["run", "--alg", "pr"],
+        &["compare", "--alg", "bfs"],
+        &["sweep", "--what", "sram"],
+    ] {
+        let out = run(&[command, &["--input", input]].concat());
+        assert_eq!(out.status.code(), Some(1), "{command:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("graph error: graph has no vertices"),
+            "{command:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(path).ok();
+}

@@ -142,10 +142,9 @@ impl SimulationSession {
         let n = self.config.num_pus;
         let p = grid.num_intervals();
         let schedule = SuperBlockSchedule::new(p, n)?;
-        let flat = grid.flat();
         // A dynamic snapshot may store edges at reserved vertex slots past
         // its vertex count; its out-degree table then runs past it too.
-        let named = flat.out_degrees().len();
+        let named = grid.out_degrees().len();
         if named > grid.num_vertices() as usize {
             return Err(CoreError::Graph(GraphError::VertexOutOfRange {
                 vertex: named as u32 - 1,
@@ -153,13 +152,13 @@ impl SimulationSession {
             }));
         }
         // The per-run artifacts (block plan, out-degrees) derive from the
-        // grid's sparse edge array once per run instead of per-iteration
-        // rescans.
-        let plan = BlockPlan::build(flat, &schedule, self.strategy);
+        // grid's block index and degree table once per run instead of
+        // per-iteration rescans.
+        let plan = BlockPlan::build(grid, &schedule, self.strategy);
         let meta = GraphMeta {
             num_vertices: grid.num_vertices(),
             num_edges: grid.num_edges(),
-            out_degrees: flat.out_degrees().to_vec(),
+            out_degrees: grid.out_degrees().to_vec(),
         };
 
         let sink = self.sink.as_ref();
@@ -318,9 +317,9 @@ impl SimulationSession {
         plan: &BlockPlan,
     ) -> (Vec<P::Value>, u32, bool) {
         let (strategy, skip_clean) = (self.strategy, self.dirty_skipping);
-        let flat = grid.flat();
+        let edges = grid.flat();
         let nv = meta.num_vertices as usize;
-        let p = flat.num_intervals() as usize;
+        let p = grid.num_intervals() as usize;
         let partition = grid.partition_info();
         let mut values: Vec<P::Value> = (0..meta.num_vertices)
             .map(|v| program.init(VertexId::new(v), meta))
@@ -374,7 +373,7 @@ impl SimulationSession {
                     scratch.values.fill(program.identity());
                     let acc = &mut scratch.values;
                     for &b in plan.blocks(pu) {
-                        for e in flat.edges_in(flat.block(b as usize).1) {
+                        for &e in &edges[grid.block(b as usize).1] {
                             let msg = program.scatter(snapshot[e.src.index()], &e, meta);
                             acc[e.dst.index()] = program.merge(acc[e.dst.index()], msg);
                             if undirected {
@@ -391,7 +390,7 @@ impl SimulationSession {
                     scratch.blocks_skipped = 0;
                     scratch.touched.fill(false);
                     for &b in plan.blocks(pu) {
-                        let (id, range) = flat.block(b as usize);
+                        let (id, range) = grid.block(b as usize);
                         let (si, di) = (id.src as usize, id.dst as usize);
                         let src_clean = !dirty_now[si] && !scratch.touched[si];
                         let clean =
@@ -408,7 +407,7 @@ impl SimulationSession {
                             scratch.active = true;
                         }
                         let local = &mut scratch.values;
-                        for e in flat.edges_in(range) {
+                        for &e in &edges[range] {
                             let msg = program.scatter(local[e.src.index()], &e, meta);
                             let cur = local[e.dst.index()];
                             let merged = program.merge(cur, msg);

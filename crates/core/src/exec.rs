@@ -10,7 +10,7 @@
 //! sequential path regardless of thread count or interleaving.
 
 use crate::schedule::SuperBlockSchedule;
-use hyve_graph::FlatGrid;
+use hyve_graph::GridGraph;
 
 /// How a [`SimulationSession`](crate::session::SimulationSession) executes
 /// the per-PU work of each iteration.
@@ -85,8 +85,8 @@ where
 /// O(non-empty blocks + P) to build and hold, not O(P²).
 #[derive(Debug, Clone)]
 pub(crate) struct BlockPlan {
-    /// For each PU, the indices (into [`FlatGrid::blocks`]) of its non-empty
-    /// blocks in schedule order (sy → sx → step).
+    /// For each PU, the indices (into [`GridGraph::blocks`]) of its
+    /// non-empty blocks in schedule order (sy → sx → step).
     pu_blocks: Vec<Vec<u32>>,
     /// Σ over steps of the step's maximum block edge count — the
     /// synchronised processing cost of one iteration, in edges.
@@ -94,8 +94,9 @@ pub(crate) struct BlockPlan {
 }
 
 impl BlockPlan {
-    /// Builds the memo over the grid's non-empty blocks, fanning the per-PU
-    /// lists out under `strategy`.
+    /// Builds the memo from the grid's block index — its non-empty blocks'
+    /// ids and edge ranges; no edge is read — fanning the per-PU lists out
+    /// under `strategy`.
     ///
     /// At (sy, sx, step) PU `pu` owns the block
     /// (sx·N + (pu+step) mod N, sy·N + pu): it owns the destination
@@ -106,13 +107,13 @@ impl BlockPlan {
     /// rotating each super block's stretch of that run gives every PU its
     /// list in schedule order.
     pub(crate) fn build(
-        flat: &FlatGrid,
+        grid: &GridGraph,
         schedule: &SuperBlockSchedule,
         strategy: ExecutionStrategy,
     ) -> Self {
         let n = schedule.pus();
         let p = schedule.intervals();
-        let ids = flat.block_ids();
+        let ids = grid.block_ids();
         // The plan holds block indices as u32.
         assert!(
             ids.len() <= u32::MAX as usize,
@@ -153,7 +154,7 @@ impl BlockPlan {
         let mut touched = Vec::new();
         for sy in 0..p / n {
             for b in bounds[(sy * n) as usize]..bounds[((sy + 1) * n) as usize] {
-                let (id, range) = flat.block(b);
+                let (id, range) = grid.block(b);
                 let slot = ((id.src / n) * n + (id.src + n - id.dst % n) % n) as usize;
                 if step_max[slot] == 0 {
                     touched.push(slot);
@@ -176,7 +177,7 @@ impl BlockPlan {
     }
 
     /// The non-empty blocks PU `pu` executes, in schedule order, as indices
-    /// into [`FlatGrid::blocks`].
+    /// into [`GridGraph::blocks`].
     pub(crate) fn blocks(&self, pu: usize) -> &[u32] {
         &self.pu_blocks[pu]
     }
@@ -190,7 +191,7 @@ impl BlockPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyve_graph::{DatasetProfile, GridGraph};
+    use hyve_graph::DatasetProfile;
 
     #[test]
     fn fan_out_mut_updates_every_slot_in_place_for_any_thread_count() {
@@ -218,9 +219,8 @@ mod tests {
         let graph = DatasetProfile::youtube_scaled().generate(3);
         for (p, n) in [(16, 4), (24, 3), (8, 8), (7, 1), (40, 8)] {
             let grid = GridGraph::partition(&graph, p).unwrap();
-            let flat = grid.flat();
             let schedule = SuperBlockSchedule::new(p, n).unwrap();
-            let plan = BlockPlan::build(flat, &schedule, ExecutionStrategy::Sequential);
+            let plan = BlockPlan::build(&grid, &schedule, ExecutionStrategy::Sequential);
             assert_eq!(plan.num_pus(), n as usize);
 
             // Each PU's list is the schedule's order, filtered to the
@@ -228,13 +228,13 @@ mod tests {
             let mut want = vec![Vec::new(); n as usize];
             for (_, assignments) in schedule.iter() {
                 for a in assignments {
-                    if flat.block_len(a.src_interval, a.dst_interval) > 0 {
+                    if grid.block_len(a.src_interval, a.dst_interval) > 0 {
                         want[a.pu as usize].push((a.src_interval, a.dst_interval));
                     }
                 }
             }
             for (pu, want) in want.iter().enumerate() {
-                let ids = plan.blocks(pu).iter().map(|&b| flat.block(b as usize).0);
+                let ids = plan.blocks(pu).iter().map(|&b| grid.block(b as usize).0);
                 let got: Vec<_> = ids.map(|id| (id.src, id.dst)).collect();
                 assert_eq!(&got, want, "P={p} N={n} PU {pu}");
             }
@@ -247,7 +247,7 @@ mod tests {
                 .map(|(_, assignments)| {
                     assignments
                         .iter()
-                        .map(|a| flat.block_len(a.src_interval, a.dst_interval) as u64)
+                        .map(|a| grid.block_len(a.src_interval, a.dst_interval) as u64)
                         .max()
                         .unwrap_or(0)
                 })
@@ -261,10 +261,10 @@ mod tests {
         let graph = DatasetProfile::youtube_scaled().generate(9);
         let grid = GridGraph::partition(&graph, 8).unwrap();
         let schedule = SuperBlockSchedule::new(8, 8).unwrap();
-        let base = BlockPlan::build(grid.flat(), &schedule, ExecutionStrategy::Sequential);
+        let base = BlockPlan::build(&grid, &schedule, ExecutionStrategy::Sequential);
         for threads in [1, 2, 5, 8] {
             let strategy = ExecutionStrategy::Parallel { threads };
-            let par = BlockPlan::build(grid.flat(), &schedule, strategy);
+            let par = BlockPlan::build(&grid, &schedule, strategy);
             assert_eq!(par.sync_edges(), base.sync_edges());
             for pu in 0..base.num_pus() {
                 assert_eq!(par.blocks(pu), base.blocks(pu));

@@ -83,7 +83,7 @@ proptest! {
             prop_assert_eq!(d.grid(), &d.materialize());
         }
         let rebuilt = GridGraph::partition(&d.grid().to_edge_list(), p).unwrap();
-        prop_assert_eq!(d.grid().flat(), rebuilt.flat());
+        prop_assert_eq!(d.grid(), &rebuilt);
 
         let session = SimulationSession::builder(SystemConfig::hyve().with_num_pus(2))
             .build()

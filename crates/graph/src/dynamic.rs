@@ -14,7 +14,6 @@
 //!   and are counted as changed via the maintained degree.
 
 use crate::error::GraphError;
-use crate::flat::FlatGrid;
 use crate::grid::GridGraph;
 use crate::partition::{BlockId, IntervalPartition};
 use crate::types::{Edge, VertexId};
@@ -197,11 +196,9 @@ impl DynamicGrid {
     /// memory space (edges + slack), the vertex reserve refills, and degrees
     /// are recounted (tombstones stay at 0).
     fn lay_out(&mut self, grid: &GridGraph) {
-        let flat = grid.flat();
         self.partition = grid.partition_info().clone();
-        self.blocks = flat
-            .blocks()
-            .map(|(id, range)| DynBlock::new(id, flat.edges_in(range).collect()))
+        self.blocks = (grid.blocks())
+            .map(|(id, range)| DynBlock::new(id, grid.flat()[range].to_vec()))
             .collect();
         self.index = (self.blocks.iter().enumerate())
             .map(|(i, b)| (self.number(b.id), i))
@@ -298,9 +295,8 @@ impl DynamicGrid {
             }
             out_degrees[e.src.index()] += 1;
         }
-        let (p, ids) = (self.partition.num_intervals(), blocks.iter().map(|b| b.id));
-        let flat = FlatGrid::new(p, ids.collect(), offsets, edges, out_degrees);
-        GridGraph::from_flat(self.partition.clone(), flat)
+        let ids = blocks.iter().map(|b| b.id).collect();
+        GridGraph::new(self.partition.clone(), ids, offsets, edges, out_degrees)
     }
 
     /// Vertices logically present (materialised + padding slots in use).
@@ -568,7 +564,7 @@ mod tests {
         let out = d.apply(Mutation::AddEdge(Edge::new(6, 1))).unwrap();
         assert_eq!(out, MutationOutcome::InPlace);
         assert_eq!(d.grid().num_edges(), 7);
-        assert_eq!(d.grid().flat().block_len(3, 0), 1);
+        assert_eq!(d.grid().block_len(3, 0), 1);
         assert_eq!(d.edges_changed(), 1);
     }
 
@@ -681,10 +677,7 @@ mod tests {
         d.apply(Mutation::AddEdge(Edge::new(5, 5))).unwrap();
         d.apply(Mutation::RemoveEdge { src: 0, dst: 1 }).unwrap();
         assert_eq!(d.grid().num_edges(), before + 1);
-        assert_eq!(
-            d.grid().flat().iter_edges().count() as u64,
-            d.grid().num_edges()
-        );
+        assert_eq!(d.grid().flat().len() as u64, d.grid().num_edges());
         d.validate().unwrap();
     }
 

@@ -2,20 +2,32 @@
 //! (paper Fig. 1 right, §3.4 data organisation) over `P` contiguous vertex
 //! intervals ([`IntervalPartition`]).
 //!
-//! Each block is a header (source interval index, destination interval
-//! index, edge count) followed by an edge array — the paper's §3.4 layout.
-//! The grid stores only the blocks that hold edges, one after another in
-//! one sparse edge array ([`FlatGrid`]), column-major: by destination
-//! interval, then by source interval, the order Algorithm 2's PUs stream
-//! them in. The header charge is still the §3.4 one for all P² blocks (see
-//! [`GridGraph::edge_storage_bits`]). Dynamic updates (§5) go through
-//! [`DynamicGrid`](crate::DynamicGrid), which keeps the per-block slack.
+//! The paper's §3.4 layout stores each block as a header (source interval
+//! index, destination interval index, edge count) followed by an edge
+//! array, one block after another in edge memory. The grid holds exactly
+//! that stream for the blocks that hold edges: one contiguous array of
+//! [`Edge`]s, the list of non-empty block coordinates, and each one's start
+//! offset. Empty blocks take no space, so memory and every walk over the
+//! grid are O(E + non-empty blocks + P), not O(P²) — at the interval counts
+//! the planner picks for PageRank on TW almost all of the P² blocks are
+//! empty. The header charge is still the §3.4 one for all P² blocks (see
+//! [`GridGraph::edge_storage_bits`]).
+//!
+//! Blocks are stored column-major — by destination interval, then by source
+//! interval ([`BlockId`]'s order). Algorithm 2 gives each PU whole
+//! destination columns and walks each one's sources in turn, so every PU
+//! reads its share of the edge stream as a few long sequential runs rather
+//! than gathering small blocks from across the columns. Edges within a
+//! block keep the order partitioning or §5's dynamic updates left them in:
+//! a PU's walk, and so every float it accumulates, follows that order.
+//! Dynamic updates (§5) go through [`DynamicGrid`](crate::DynamicGrid),
+//! which keeps the per-block slack.
 
 use crate::edgelist::EdgeList;
 use crate::error::GraphError;
-use crate::flat::FlatGrid;
 use crate::partition::{BlockId, IntervalPartition};
 use crate::types::{Edge, VertexId};
+use std::ops::Range;
 
 /// Bits of one block header: source interval, destination interval and
 /// edge count, 32 bits each (§3.4).
@@ -24,24 +36,66 @@ const BLOCK_HEADER_BITS: u64 = 96;
 /// A graph partitioned into a P×P grid of edge blocks.
 ///
 /// ```
-/// use hyve_graph::{Edge, EdgeList, GridGraph};
+/// use hyve_graph::{BlockId, Edge, EdgeList, GridGraph};
 ///
 /// # fn main() -> Result<(), hyve_graph::GraphError> {
 /// let g = EdgeList::from_edges(8, [Edge::new(2, 4), Edge::new(0, 7)])?;
 /// let grid = GridGraph::partition(&g, 4)?;
 /// // e2.4 lands in B1.2 exactly as the paper's Fig. 1 shows.
-/// assert_eq!(grid.flat().block_len(1, 2), 1);
+/// assert_eq!(grid.block_len(1, 2), 1);
 /// assert_eq!((grid.num_blocks(), grid.non_empty_blocks()), (16, 2));
+/// // Column-major: B1.2 (destination interval 2) precedes B0.3.
+/// assert_eq!(grid.block_ids(), [BlockId::new(1, 2), BlockId::new(0, 3)]);
+/// assert_eq!(grid.flat(), [Edge::new(2, 4), Edge::new(0, 7)]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridGraph {
     partition: IntervalPartition,
-    flat: FlatGrid,
+    /// Coordinates of the non-empty blocks, in column-major order.
+    blocks: Vec<BlockId>,
+    /// Start of each non-empty block in the edge array, plus a final entry
+    /// equal to the edge count; length `blocks.len() + 1`.
+    offsets: Vec<usize>,
+    edges: Vec<Edge>,
+    /// Per-vertex out-degree, tallied once when the grid is built so runs
+    /// don't rescan the edge stream for it.
+    out_degrees: Vec<u32>,
 }
 
 impl GridGraph {
+    /// A grid over `partition` whose edge array, in column-major block
+    /// order, is `edges`, with its block index: the non-empty blocks and
+    /// where each starts. `out_degrees` tallies every edge's source; it
+    /// runs past the vertex count when edges name reserved padding slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the blocks are not in column-major order: a block out of
+    /// order would make [`block_range`](Self::block_range) miss it and
+    /// split a PU's column.
+    pub(crate) fn new(
+        partition: IntervalPartition,
+        blocks: Vec<BlockId>,
+        mut offsets: Vec<usize>,
+        edges: Vec<Edge>,
+        out_degrees: Vec<u32>,
+    ) -> Self {
+        assert!(
+            blocks.windows(2).all(|w| w[0] < w[1]),
+            "blocks out of column-major order"
+        );
+        offsets.push(edges.len());
+        GridGraph {
+            partition,
+            blocks,
+            offsets,
+            edges,
+            out_degrees,
+        }
+    }
+
     /// Partitions an edge list into a P×P grid of contiguous intervals.
     ///
     /// One stable counting pass places every edge in the final edge array,
@@ -112,13 +166,13 @@ impl GridGraph {
                 sort.finish(&mut stored[range], at, b as u32, &interval, &mut list);
             }
         }
-        let flat = FlatGrid::new(p, blocks, offsets, stored, out_degrees);
-        Ok(GridGraph { partition, flat })
-    }
-
-    /// A grid over `partition` whose edges are `flat`.
-    pub(crate) fn from_flat(partition: IntervalPartition, flat: FlatGrid) -> Self {
-        GridGraph { partition, flat }
+        Ok(GridGraph::new(
+            partition,
+            blocks,
+            offsets,
+            stored,
+            out_degrees,
+        ))
     }
 
     /// The vertex partition underlying the grid.
@@ -138,7 +192,7 @@ impl GridGraph {
 
     /// Number of edges.
     pub fn num_edges(&self) -> u64 {
-        self.flat.num_edges()
+        self.edges.len() as u64
     }
 
     /// Total number of blocks (P²), empty ones included.
@@ -149,7 +203,7 @@ impl GridGraph {
 
     /// Number of blocks holding at least one edge.
     pub fn non_empty_blocks(&self) -> usize {
-        self.flat.non_empty_blocks()
+        self.blocks.len()
     }
 
     /// Total edge-memory footprint in bits (§3.4 layout): a 96-bit header
@@ -165,10 +219,65 @@ impl GridGraph {
         u64::from(self.num_intervals()) * 64 + u64::from(self.num_vertices()) * value_bits
     }
 
-    /// The grid's edge storage — the sparse edge array the simulator's hot
-    /// loop walks.
-    pub fn flat(&self) -> &FlatGrid {
-        &self.flat
+    /// The grid's edge array, block by block in column-major order — the
+    /// sparse edge stream the simulator's hot loop walks. Index it with a
+    /// range from [`block`](Self::block) or [`block_range`](Self::block_range)
+    /// for one block's edges.
+    pub fn flat(&self) -> &[Edge] {
+        &self.edges
+    }
+
+    /// Coordinates of the non-empty blocks, in column-major order.
+    pub fn block_ids(&self) -> &[BlockId] {
+        &self.blocks
+    }
+
+    /// The `i`-th non-empty block (column-major) and its edge-array range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.non_empty_blocks()`.
+    pub fn block(&self, i: usize) -> (BlockId, Range<usize>) {
+        (self.blocks[i], self.offsets[i]..self.offsets[i + 1])
+    }
+
+    /// Iterates the non-empty blocks in column-major order with their
+    /// edge-array ranges.
+    pub fn blocks(&self) -> impl Iterator<Item = (BlockId, Range<usize>)> + '_ {
+        (0..self.blocks.len()).map(|i| self.block(i))
+    }
+
+    /// The edge-array range of the block at (src interval, dst interval),
+    /// found by binary search over the non-empty blocks; empty for a block
+    /// without edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either coordinate is ≥ P.
+    pub fn block_range(&self, src: u32, dst: u32) -> Range<usize> {
+        let p = self.num_intervals();
+        assert!(
+            src < p && dst < p,
+            "block ({src},{dst}) out of a {p}x{p} grid"
+        );
+        match self.blocks.binary_search(&BlockId::new(src, dst)) {
+            Ok(i) => self.block(i).1,
+            Err(i) => self.offsets[i]..self.offsets[i],
+        }
+    }
+
+    /// Number of edges in the block at (src interval, dst interval).
+    pub fn block_len(&self, src: u32, dst: u32) -> usize {
+        self.block_range(src, dst).len()
+    }
+
+    /// Out-degree of every vertex, tallied once when the grid was built.
+    ///
+    /// One entry per vertex, unless a [`DynamicGrid`](crate::DynamicGrid)
+    /// snapshot stores edges at reserved padding slots past its vertex
+    /// count: the table then runs up to the highest vertex any edge names.
+    pub fn out_degrees(&self) -> &[u32] {
+        &self.out_degrees
     }
 
     /// Flattens the grid back into an edge list (inverse of partitioning,
@@ -176,7 +285,7 @@ impl GridGraph {
     /// block order — by destination interval, then by source interval — and
     /// in stored order within each block.
     pub fn to_edge_list(&self) -> EdgeList {
-        EdgeList::from_vec(self.num_vertices(), self.flat.iter_edges().collect())
+        EdgeList::from_vec(self.num_vertices(), self.edges.clone())
     }
 }
 
@@ -288,21 +397,20 @@ pub(crate) mod tests {
     #[test]
     fn fig1_block_assignment() {
         let grid = GridGraph::partition(&fig1(), 4).unwrap();
-        let flat = grid.flat();
         assert_eq!(grid.num_blocks(), 16);
         assert_eq!(grid.num_edges(), 11);
         // Paper Fig. 1: B0.0 = {1->0}, B0.3 = {0->7}, B1.1 = {2->3},
         // B1.2 = {2->4, 3->4}, B1.3 = {3->7}, B2.0 = {4->1}, B2.2 = {4->5},
         // B3.0 = {6->0, 7->1}, B3.1 = {6->2}.
-        assert_eq!(flat.block_len(0, 0), 1);
-        assert_eq!(flat.block_len(0, 3), 1);
-        assert_eq!(flat.block_len(1, 1), 1);
-        assert_eq!(flat.block_len(1, 2), 2);
-        assert_eq!(flat.block_len(1, 3), 1);
-        assert_eq!(flat.block_len(2, 0), 1);
-        assert_eq!(flat.block_len(2, 2), 1);
-        assert_eq!(flat.block_len(3, 1), 1);
-        assert_eq!(flat.block_len(3, 0), 2);
+        assert_eq!(grid.block_len(0, 0), 1);
+        assert_eq!(grid.block_len(0, 3), 1);
+        assert_eq!(grid.block_len(1, 1), 1);
+        assert_eq!(grid.block_len(1, 2), 2);
+        assert_eq!(grid.block_len(1, 3), 1);
+        assert_eq!(grid.block_len(2, 0), 1);
+        assert_eq!(grid.block_len(2, 2), 1);
+        assert_eq!(grid.block_len(3, 1), 1);
+        assert_eq!(grid.block_len(3, 0), 2);
         assert_eq!(grid.non_empty_blocks(), 9);
     }
 
@@ -318,25 +426,24 @@ pub(crate) mod tests {
     fn single_interval_grid() {
         let grid = GridGraph::partition(&fig1(), 1).unwrap();
         assert_eq!(grid.num_blocks(), 1);
-        assert_eq!(grid.flat().block_len(0, 0), 11);
+        assert_eq!(grid.block_len(0, 0), 11);
     }
 
     /// FNV-1a over the grid's block ids and offsets, every edge's (src,
     /// dst, weight bits) in storage order, and the out-degree table.
     fn fingerprint(grid: &GridGraph) -> u64 {
-        let flat = grid.flat();
         let mut bytes: Vec<u8> = Vec::new();
-        for (id, range) in flat.blocks() {
+        for (id, range) in grid.blocks() {
             bytes.extend(id.src.to_le_bytes());
             bytes.extend(id.dst.to_le_bytes());
             bytes.extend((range.start as u64).to_le_bytes());
         }
-        bytes.extend(flat.num_edges().to_le_bytes());
-        for e in flat.iter_edges() {
+        bytes.extend(grid.num_edges().to_le_bytes());
+        for e in grid.flat() {
             let words = [e.src.raw(), e.dst.raw(), e.weight.to_bits()];
             bytes.extend(words.iter().flat_map(|w| w.to_le_bytes()));
         }
-        bytes.extend(flat.out_degrees().iter().flat_map(|d| d.to_le_bytes()));
+        bytes.extend(grid.out_degrees().iter().flat_map(|d| d.to_le_bytes()));
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         })
@@ -386,5 +493,79 @@ pub(crate) mod tests {
         assert_eq!(grid.non_empty_blocks(), 0);
         assert_eq!(grid.edge_storage_bits(), 16 * 96);
         assert_eq!(GridGraph::partition(&g, 1).unwrap().non_empty_blocks(), 0);
+    }
+
+    #[test]
+    fn blocks_tile_the_edge_array() {
+        let grid = GridGraph::partition(&fig1(), 4).unwrap();
+        assert_eq!(grid.num_intervals(), 4);
+        assert_eq!(grid.non_empty_blocks(), 9);
+        // Column-major: destination interval first, then source interval.
+        let ids: Vec<(u32, u32)> = grid.block_ids().iter().map(|id| (id.src, id.dst)).collect();
+        let column_major = [
+            (0, 0),
+            (2, 0),
+            (3, 0),
+            (1, 1),
+            (3, 1),
+            (1, 2),
+            (2, 2),
+            (0, 3),
+            (1, 3),
+        ];
+        assert_eq!(ids, column_major);
+        let mut covered = 0;
+        for (id, range) in grid.blocks() {
+            assert!(!range.is_empty(), "only non-empty blocks are listed");
+            assert_eq!(range.start, covered);
+            assert_eq!(grid.block_range(id.src, id.dst), range);
+            covered = range.end;
+        }
+        assert_eq!(covered, 11);
+        let walked: Vec<Edge> = grid
+            .blocks()
+            .flat_map(|(_, r)| &grid.flat()[r])
+            .copied()
+            .collect();
+        assert_eq!(walked, grid.flat());
+    }
+
+    #[test]
+    fn empty_blocks_have_empty_ranges() {
+        let grid = GridGraph::partition(&fig1(), 4).unwrap();
+        for s in 0..4 {
+            for d in 0..4 {
+                let listed = grid.block_ids().contains(&BlockId::new(s, d));
+                assert_eq!(grid.block_range(s, d).is_empty(), !listed);
+            }
+        }
+        let empty = GridGraph::partition(&EdgeList::new(8), 4).unwrap();
+        assert_eq!(empty.non_empty_blocks(), 0);
+        assert!(empty.block_range(3, 3).is_empty());
+    }
+
+    #[test]
+    fn out_degrees_match_source_list() {
+        let g = fig1();
+        let grid = GridGraph::partition(&g, 4).unwrap();
+        assert_eq!(grid.out_degrees(), g.out_degrees());
+    }
+
+    #[test]
+    #[should_panic(expected = "blocks out of column-major order")]
+    fn out_of_order_blocks_are_rejected() {
+        // e0.7 (B0.3) then e2.4 (B1.2): row-major, but B1.2 must lead.
+        let edges = vec![Edge::new(0, 7), Edge::new(2, 4)];
+        let blocks = vec![BlockId::new(0, 3), BlockId::new(1, 2)];
+        let partition = IntervalPartition::new(8, 4).unwrap();
+        let out_degrees = vec![1, 0, 1, 0, 0, 0, 0, 0];
+        let _ = GridGraph::new(partition, blocks, vec![0, 1], edges, out_degrees);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of a")]
+    fn block_range_out_of_bounds_panics() {
+        let grid = GridGraph::partition(&fig1(), 2).unwrap();
+        let _ = grid.block_range(2, 0);
     }
 }

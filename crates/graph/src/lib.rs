@@ -5,10 +5,9 @@
 //! * [`EdgeList`] / [`Csr`] — basic containers,
 //! * [`GridGraph`] — the interval-block (P×P) partitioning of §2.1/Fig. 1
 //!   over contiguous vertex intervals, built in O(E + V + P) by one stable
-//!   counting sort,
-//! * [`FlatGrid`] — a grid's edge storage: §3.4's contiguous edge stream as
-//!   one array of [`Edge`]s, over the non-empty blocks only, so memory and
-//!   walks are O(E + non-empty blocks + P) rather than O(P²),
+//!   counting sort and stored as §3.4's contiguous edge stream: one array
+//!   of [`Edge`]s over the non-empty blocks only, so memory and walks are
+//!   O(E + non-empty blocks + P) rather than O(P²),
 //! * [`DynamicGrid`] — the O(1) add/delete working flow for evolving graphs
 //!   (§5), with per-block reserved slack for the blocks that hold or have
 //!   held edges and a lazily rebuilt [`GridGraph`] snapshot,
@@ -39,7 +38,6 @@ pub mod datasets;
 pub mod dynamic;
 pub mod edgelist;
 pub mod error;
-pub mod flat;
 pub mod generate;
 pub mod grid;
 pub mod io;
@@ -52,7 +50,6 @@ pub use datasets::DatasetProfile;
 pub use dynamic::{DynamicGrid, Mutation, MutationOutcome};
 pub use edgelist::EdgeList;
 pub use error::GraphError;
-pub use flat::FlatGrid;
 pub use generate::{ErdosRenyi, Rmat};
 pub use grid::GridGraph;
 pub use partition::{block_sparsity, BlockId, IntervalPartition, SparsityStats};

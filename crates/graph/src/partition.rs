@@ -17,10 +17,8 @@ use std::ops::Range;
 /// The fields are declared destination first, so the derived `Ord` is the
 /// grid's column-major block order — by destination interval, then by
 /// source interval. That is the order Algorithm 2 walks the blocks in (a PU
-/// owns whole destination columns), and the one order [`FlatGrid`] stores
-/// and searches its blocks by.
-///
-/// [`FlatGrid`]: crate::FlatGrid
+/// owns whole destination columns), and the one order a
+/// [`GridGraph`](crate::GridGraph) stores and searches its blocks by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId {
     /// Destination interval index.

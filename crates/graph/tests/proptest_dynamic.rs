@@ -164,10 +164,11 @@ impl Model {
 
 /// A grid's non-empty blocks and their edge sequences, in stored order.
 fn non_empty(grid: &GridGraph) -> Layout {
-    let flat = grid.flat();
-    flat.blocks()
+    grid.blocks()
         .map(|(id, range)| {
-            let edges = flat.edges_in(range).map(|e| (e.src.raw(), e.dst.raw()));
+            let edges = grid.flat()[range]
+                .iter()
+                .map(|e| (e.src.raw(), e.dst.raw()));
             ((id.dst, id.src), edges.collect())
         })
         .collect()

@@ -37,11 +37,11 @@ proptest! {
         let grid = GridGraph::partition(&g, p).unwrap();
         prop_assert_eq!(grid.num_edges(), g.len() as u64);
         prop_assert_eq!(grid.num_blocks(), (p as usize).pow(2));
-        prop_assert_eq!(grid.flat().out_degrees(), &g.out_degrees()[..]);
+        prop_assert_eq!(grid.out_degrees(), &g.out_degrees()[..]);
 
         let mut back: Vec<(u32, u32)> = grid
             .flat()
-            .iter_edges()
+            .iter()
             .map(|e| (e.src.raw(), e.dst.raw()))
             .collect();
         let mut orig: Vec<(u32, u32)> = g
@@ -226,7 +226,7 @@ proptest! {
         }
         // Recompute degrees from the grid and compare.
         let mut expect = vec![0u32; dynamic.grid().num_vertices() as usize];
-        for e in dynamic.grid().flat().iter_edges() {
+        for e in dynamic.grid().flat() {
             expect[e.src.index()] += 1;
             expect[e.dst.index()] += 1;
         }
@@ -266,34 +266,33 @@ fn check_naive_bucketing(g: &EdgeList, p: u32) -> Result<(), TestCaseError> {
     for s in 0..p {
         for d in 0..p {
             let want = naive.get(&(s, d)).map_or(&[][..], Vec::as_slice);
-            let got: Vec<Edge> = grid.flat().block_edges(s, d).collect();
-            prop_assert_eq!(&got[..], want, "block ({}, {})", s, d);
+            let got = &grid.flat()[grid.block_range(s, d)];
+            prop_assert_eq!(got, want, "block ({}, {})", s, d);
             bits += 96 + 64 * want.len() as u64;
         }
     }
     prop_assert_eq!(grid.non_empty_blocks(), naive.len());
     prop_assert_eq!(grid.edge_storage_bits(), bits);
-    prop_assert_eq!(grid.flat().out_degrees(), &g.out_degrees()[..]);
+    prop_assert_eq!(grid.out_degrees(), &g.out_degrees()[..]);
     let listed: Vec<Edge> = grid
-        .flat()
         .blocks()
-        .flat_map(|(_, r)| grid.flat().edges_in(r))
+        .flat_map(|(_, r)| &grid.flat()[r])
+        .copied()
         .collect();
-    prop_assert_eq!(listed, grid.flat().iter_edges().collect::<Vec<_>>());
+    prop_assert_eq!(listed, grid.flat());
     Ok(())
 }
 
 /// The grid's non-empty blocks strictly increase in (dst interval, src
 /// interval), and `block_range` finds each listed block at its listed range.
 fn check_column_major(grid: &GridGraph) -> Result<(), TestCaseError> {
-    let flat = grid.flat();
-    let keys: Vec<(u32, u32)> = flat.block_ids().iter().map(|id| (id.dst, id.src)).collect();
+    let keys: Vec<(u32, u32)> = grid.block_ids().iter().map(|id| (id.dst, id.src)).collect();
     prop_assert!(
         keys.windows(2).all(|w| w[0] < w[1]),
         "blocks not column-major: {keys:?}"
     );
-    for (id, range) in flat.blocks() {
-        prop_assert_eq!(flat.block_range(id.src, id.dst), range, "block {:?}", id);
+    for (id, range) in grid.blocks() {
+        prop_assert_eq!(grid.block_range(id.src, id.dst), range, "block {:?}", id);
     }
     Ok(())
 }

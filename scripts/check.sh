@@ -80,6 +80,22 @@ grep -q "§6.6 recommender" <<<"$model" || {
     exit 1
   }
 
+# The other examples, each by a line it prints once it has run through.
+example_smoke() {
+  local example=$1 line=$2 out
+  out="$(cargo run -q --release --offline --example "$example")"
+  grep -qF "$line" <<<"$out" || {
+    echo "example $example did not print '$line'" >&2
+    exit 1
+  }
+}
+
+echo "==> example smokes (quickstart, social_pagerank, route_planning, design_space)"
+example_smoke quickstart "memory share"
+example_smoke social_pagerank "Same answers, very different energy bills"
+example_smoke route_planning "max deviation from Dijkstra: 0.00000"
+example_smoke design_space "+ power gating"
+
 # Each smoke must pass perfbench's own checks and reproduce the simulated
 # output pinned at the default seed (2018): a host-only change keeps it.
 bench_smoke() {

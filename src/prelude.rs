@@ -25,7 +25,7 @@ pub use hyve_core::{
     TraceEvent, TraceSink,
 };
 pub use hyve_graph::{
-    BlockId, DatasetProfile, DynamicGrid, Edge, EdgeList, FlatGrid, GraphError, GridGraph,
-    Mutation, MutationOutcome, Rmat, VertexId,
+    BlockId, DatasetProfile, DynamicGrid, Edge, EdgeList, GraphError, GridGraph, Mutation,
+    MutationOutcome, Rmat, VertexId,
 };
 pub use hyve_memsim::DeviceError;

@@ -4,9 +4,10 @@
 //! The model predicts totals from operation counts and per-operation device
 //! costs; the simulator derives the same counts from a concrete grid. On a
 //! single-super-block workload (P = N) the mapping is exact enough to bound
-//! the gap tightly.
+//! the gap tightly; the off-chip vertex counts of Eqs. 7 and 8 match
+//! exactly at any number of super blocks.
 
-use hyve::algorithms::{EdgeProgram, SpMv};
+use hyve::algorithms::{EdgeProgram, PageRank, SpMv};
 use hyve::core::{SimulationSession, SystemConfig};
 use hyve::graph::{DatasetProfile, GridGraph};
 use hyve::memsim::{MemoryDevice, SramArray, SramConfig};
@@ -109,4 +110,33 @@ fn eq1_pipelining_bounds_simulator_processing_time() {
         processing < lower * 6.0,
         "processing {processing:?} implausibly above bound {lower:?} — imbalance blowup"
     );
+}
+
+#[test]
+fn eq7_eq8_offchip_vertex_counts_match_past_one_super_block() {
+    // Eq. 8: each of the P/N super-block rows streams every source
+    // interval once with data sharing, so sources cost nv·P/N reads; without
+    // sharing each of the N PUs loads its own copy, nv·P. Destinations are
+    // read once and written back once (Eq. 7) either way.
+    let graph = DatasetProfile::youtube_scaled().generate(5);
+    let program = PageRank::new(3);
+    let nv = u64::from(graph.num_vertices());
+    let value_bits = u64::from(program.value_bits());
+    for p in [8, 16, 24] {
+        let grid = GridGraph::partition(&graph, p).unwrap();
+        let p = u64::from(p);
+        for sharing in [true, false] {
+            let cfg = SystemConfig::hyve().with_data_sharing(sharing);
+            let n = u64::from(cfg.num_pus);
+            assert_eq!(n, 8);
+            let report = session(cfg).run(&program, &grid).unwrap();
+            assert_eq!(report.iterations, 3);
+            let per_value = value_bits * u64::from(report.iterations);
+            let source_reads = if sharing { nv * p / n } else { nv * p };
+            let offchip = report.breakdown.offchip_vertex;
+            let case = format!("P = {p}, sharing {sharing}");
+            assert_eq!(offchip.bits_read, (nv + source_reads) * per_value, "{case}");
+            assert_eq!(offchip.bits_written, nv * per_value, "{case}");
+        }
+    }
 }
