@@ -37,7 +37,8 @@ pub use cc::ConnectedComponents;
 pub use degree::{DegreeCentrality, DegreeKind};
 pub use pagerank::PageRank;
 pub use program::{
-    run_in_memory, EdgeProgram, ExecutionMode, GraphMeta, InMemoryRun, IterationBound,
+    registers_change, run_in_memory, EdgeProgram, ExecutionMode, GraphMeta, InMemoryRun,
+    IterationBound,
 };
 pub use spmv::SpMv;
 pub use sssp::Sssp;

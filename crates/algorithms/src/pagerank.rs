@@ -55,11 +55,6 @@ impl PageRank {
         self.tolerance = Some(tolerance);
         self
     }
-
-    /// The convergence tolerance, when set.
-    pub fn tolerance(&self) -> Option<f32> {
-        self.tolerance
-    }
 }
 
 impl Default for PageRank {
@@ -170,7 +165,6 @@ mod tests {
     fn default_is_paper_config() {
         let pr = PageRank::default();
         assert_eq!(pr.bound(), IterationBound::Fixed(10));
-        assert_eq!(pr.tolerance(), None);
         assert_eq!(pr.name(), "PR");
         assert_eq!(pr.value_bits(), 64);
         assert_eq!(pr.mode(), ExecutionMode::Accumulate);
@@ -180,7 +174,6 @@ mod tests {
     fn tolerance_switches_to_convergence_bound() {
         let pr = PageRank::new(50).with_tolerance(1e-6);
         assert_eq!(pr.bound(), IterationBound::Converge { max: 50 });
-        assert_eq!(pr.tolerance(), Some(1e-6));
     }
 
     #[test]

@@ -191,8 +191,17 @@ pub struct InMemoryRun<V> {
     pub values: Vec<V>,
     /// Iterations actually executed.
     pub iterations: u32,
-    /// Total destination updates that changed a value.
-    pub updates: u64,
+}
+
+/// Whether `new` counts as a change against `old` for convergence and
+/// dirty-interval tracking, in every executor. A value that is not equal to
+/// itself (an IEEE NaN escaping a user [`EdgeProgram`]) never registers:
+/// counting NaN as "changed" would hold `changed` true forever and spin
+/// every converge-bound run to its iteration cap (see the `Monotone`
+/// invariants on [`ExecutionMode`]).
+#[allow(clippy::eq_op)]
+pub fn registers_change<V: PartialEq>(old: &V, new: &V) -> bool {
+    new != old && new == new
 }
 
 /// Runs a program over raw edges with no cost model — the functional
@@ -218,7 +227,6 @@ pub fn run_in_memory<P: EdgeProgram>(
         .collect();
     let bound = program.bound();
     let mut iterations = 0;
-    let mut updates = 0u64;
 
     for _ in 0..bound.max_iterations() {
         iterations += 1;
@@ -236,10 +244,7 @@ pub fn run_in_memory<P: EdgeProgram>(
                 }
                 for v in 0..n {
                     let new = program.apply(VertexId::new(v as u32), acc[v], values[v], meta);
-                    if new != values[v] {
-                        changed = true;
-                        updates += 1;
-                    }
+                    changed |= registers_change(&values[v], &new);
                     values[v] = new;
                 }
             }
@@ -247,18 +252,16 @@ pub fn run_in_memory<P: EdgeProgram>(
                 for e in edges {
                     let msg = program.scatter(values[e.src.index()], e, meta);
                     let merged = program.merge(values[e.dst.index()], msg);
-                    if merged != values[e.dst.index()] {
+                    if registers_change(&values[e.dst.index()], &merged) {
                         values[e.dst.index()] = merged;
                         changed = true;
-                        updates += 1;
                     }
                     if program.undirected() {
                         let msg = program.scatter(values[e.dst.index()], &e.reversed(), meta);
                         let merged = program.merge(values[e.src.index()], msg);
-                        if merged != values[e.src.index()] {
+                        if registers_change(&values[e.src.index()], &merged) {
                             values[e.src.index()] = merged;
                             changed = true;
-                            updates += 1;
                         }
                     }
                 }
@@ -271,11 +274,7 @@ pub fn run_in_memory<P: EdgeProgram>(
         }
     }
 
-    InMemoryRun {
-        values,
-        iterations,
-        updates,
-    }
+    InMemoryRun { values, iterations }
 }
 
 #[cfg(test)]
@@ -371,6 +370,69 @@ mod tests {
         let b = GraphMeta::from_edges(3, &edges);
         assert_eq!(a, b);
         assert_eq!(a.out_degrees, vec![2, 0, 1]);
+    }
+
+    #[test]
+    fn nan_values_never_register_as_changed() {
+        assert!(registers_change(&1.0f32, &2.0));
+        assert!(!registers_change(&1.0f32, &1.0));
+        assert!(!registers_change(&1.0f32, &f32::NAN));
+        assert!(!registers_change(&f32::NAN, &f32::NAN));
+        // NaN as the *old* value still lets a real value land.
+        assert!(registers_change(&f32::NAN, &1.0));
+    }
+
+    #[test]
+    fn nan_message_does_not_spin_monotone_run_to_its_cap() {
+        // A min whose merge lets NaN in (f32::min would drop it). Vertex 0
+        // starts at NaN, so every edge out of it carries a NaN message.
+        struct NanMin;
+        impl EdgeProgram for NanMin {
+            type Value = f32;
+            fn name(&self) -> &'static str {
+                "NanMin"
+            }
+            fn mode(&self) -> ExecutionMode {
+                ExecutionMode::Monotone
+            }
+            fn bound(&self) -> IterationBound {
+                IterationBound::Converge { max: 50 }
+            }
+            fn value_bits(&self) -> u32 {
+                32
+            }
+            fn init(&self, v: VertexId, _: &GraphMeta) -> f32 {
+                if v.raw() == 0 {
+                    f32::NAN
+                } else {
+                    f32::INFINITY
+                }
+            }
+            fn identity(&self) -> f32 {
+                f32::INFINITY
+            }
+            fn scatter(&self, src: f32, _: &Edge, _: &GraphMeta) -> f32 {
+                src + 1.0
+            }
+            fn merge(&self, cur: f32, msg: f32) -> f32 {
+                if msg.is_nan() || msg < cur {
+                    msg
+                } else {
+                    cur
+                }
+            }
+            fn apply(&self, _: VertexId, acc: f32, _: f32, _: &GraphMeta) -> f32 {
+                acc
+            }
+        }
+        let edges = [Edge::new(0, 1), Edge::new(1, 2)];
+        let meta = GraphMeta::from_edges(3, &edges);
+        let run = run_in_memory(&NanMin, &edges, &meta);
+        assert_eq!(
+            run.iterations, 1,
+            "a NaN message must not count as a change"
+        );
+        assert_eq!(run.values[1..], [f32::INFINITY, f32::INFINITY]);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hyve_graph::EdgeList;
 use hyve_memsim::{Energy, EnergyDelay, Power, Time};
 
 /// An analytic CPU platform model.
@@ -98,12 +97,6 @@ impl CpuSystem {
             edges as f64 / e.as_uj()
         }
     }
-
-    /// Convenience: edge-iterations for running `iterations` passes over a
-    /// graph.
-    pub fn workload_edges(graph: &EdgeList, iterations: u32) -> u64 {
-        graph.len() as u64 * u64::from(iterations)
-    }
 }
 
 #[cfg(test)]
@@ -142,13 +135,6 @@ mod tests {
         let e1 = cpu.energy(1000).as_pj();
         let e2 = cpu.energy(2000).as_pj();
         assert!((e2 - 2.0 * e1).abs() < 1e-6);
-    }
-
-    #[test]
-    fn workload_edges_counts_iterations() {
-        let mut g = EdgeList::new(4);
-        g.extend([hyve_graph::Edge::new(0, 1), hyve_graph::Edge::new(1, 2)]);
-        assert_eq!(CpuSystem::workload_edges(&g, 10), 20);
     }
 
     #[test]

@@ -121,6 +121,35 @@ fn fig20_request_mix_has_paper_proportions() {
 }
 
 #[test]
+fn fig20_systems_accept_and_reject_the_same_requests() {
+    small_mode();
+    for (profile, graph) in hyve_bench::workloads::datasets() {
+        let requests = e::fig20::request_mix(
+            graph,
+            e::fig20::REQUESTS,
+            hyve_bench::workloads::SEED ^ 0x20,
+        );
+        let mut hyve = e::fig20::hyve_structure(graph);
+        let mut graphr = hyve_graphr::GraphrDynamic::new(graph);
+        for (i, m) in requests.iter().enumerate() {
+            let (h, g) = (hyve.apply(*m), graphr.apply(*m));
+            assert_eq!(
+                h.is_ok(),
+                g.is_ok(),
+                "{}: request {i} {m:?}: HyVE {h:?}, GraphR {g:?}",
+                profile.tag
+            );
+        }
+        assert_eq!(
+            hyve.edges_changed(),
+            graphr.edges_changed(),
+            "{}",
+            profile.tag
+        );
+    }
+}
+
+#[test]
 fn formatting_helpers() {
     assert_eq!(hyve_bench::fmt_f(0.0), "0");
     assert_eq!(hyve_bench::fmt_f(1234.0), "1234");

@@ -168,6 +168,14 @@ fn get_num<T: std::str::FromStr>(
     }
 }
 
+/// `--threads`, defaulting to 1 (sequential); 0 workers cannot run.
+fn get_threads(map: &HashMap<String, String>) -> Result<usize, CliError> {
+    match get_num(map, "threads", Some(1usize))? {
+        0 => Err(CliError::Usage("--threads must be at least 1".into())),
+        n => Ok(n),
+    }
+}
+
 fn get_source(map: &HashMap<String, String>) -> Result<SourceArgs, CliError> {
     let source = match (map.get("dataset"), map.get("input")) {
         (Some(d), None) => GraphSource::Dataset(d.to_lowercase()),
@@ -264,7 +272,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 .transpose()?,
             no_sharing: map.contains_key("no-sharing"),
             no_gating: map.contains_key("no-gating"),
-            threads: get_num(&map, "threads", Some(1usize))?,
+            threads: get_threads(&map)?,
             trace: map.get("trace").cloned(),
             faults: map.get("faults").cloned(),
         })),
@@ -274,33 +282,49 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 .ok_or_else(|| CliError::Usage("--alg is required".into()))?
                 .to_lowercase(),
             source: get_source(&map)?,
-            threads: get_num(&map, "threads", Some(1usize))?,
+            threads: get_threads(&map)?,
         })),
-        "sweep" => Ok(Command::Sweep(SweepArgs {
-            what: map
+        "sweep" => {
+            let what = map
                 .get("what")
                 .ok_or_else(|| CliError::Usage("--what is required".into()))?
-                .to_lowercase(),
-            source: get_source(&map)?,
-            threads: get_num(&map, "threads", Some(1usize))?,
-        })),
-        "recommend" => Ok(Command::Recommend(RecommendArgs {
-            vertices: get_num(&map, "vertices", None)?,
-            edges: get_num(&map, "edges", None)?,
-            partitions: map
-                .get("partitions")
-                .map(|v| {
-                    v.parse::<u32>().map_err(|_| {
-                        CliError::Usage(format!("--partitions got invalid value '{v}'"))
-                    })
-                })
-                .transpose()?,
-            navg: get_num(&map, "navg", Some(1.5f64))?,
-            objective: map
-                .get("objective")
-                .map(|s| s.to_lowercase())
-                .unwrap_or_else(|| "energy".into()),
-        })),
+                .to_lowercase();
+            if !matches!(what.as_str(), "sram" | "cells" | "density") {
+                return Err(CliError::Usage(format!(
+                    "unknown sweep axis '{what}' (use sram/cells/density)"
+                )));
+            }
+            Ok(Command::Sweep(SweepArgs {
+                what,
+                source: get_source(&map)?,
+                threads: get_threads(&map)?,
+            }))
+        }
+        "recommend" => {
+            let partitions = map
+                .contains_key("partitions")
+                .then(|| get_num::<u32>(&map, "partitions", None))
+                .transpose()?;
+            if partitions == Some(0) {
+                return Err(CliError::Usage("--partitions must be at least 1".into()));
+            }
+            let navg = get_num(&map, "navg", Some(1.5f64))?;
+            if !(navg.is_finite() && navg > 0.0) {
+                return Err(CliError::Usage(format!(
+                    "--navg must be a finite positive number, got {navg}"
+                )));
+            }
+            Ok(Command::Recommend(RecommendArgs {
+                vertices: get_num(&map, "vertices", None)?,
+                edges: get_num(&map, "edges", None)?,
+                partitions,
+                navg,
+                objective: map
+                    .get("objective")
+                    .map(|s| s.to_lowercase())
+                    .unwrap_or_else(|| "energy".into()),
+            }))
+        }
         "info" => Ok(Command::Info(get_source(&map)?)),
         "gen" => {
             let vertices = get_num(&map, "vertices", None)?;

@@ -191,8 +191,14 @@ impl System for GraphrEngine {
 
 fn run<W: Write>(args: RunArgs, out: &mut W) -> Result<(), CliError> {
     let algorithm = Algorithm::parse(&args.algorithm, args.iterations)?;
+    let config = config_by_name(&args.config)?;
+    let faults = args
+        .faults
+        .as_deref()
+        .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError::Usage(format!("--faults: {e}"))))
+        .transpose()?;
     let (graph, scale, name) = load(&args.source)?;
-    let mut cfg = config_by_name(&args.config)?.with_dataset_scale(scale);
+    let mut cfg = config.with_dataset_scale(scale);
     if let Some(mb) = args.sram_mb {
         cfg = cfg.with_sram_mb(mb);
     }
@@ -202,11 +208,6 @@ fn run<W: Write>(args: RunArgs, out: &mut W) -> Result<(), CliError> {
     if args.no_gating {
         cfg = cfg.with_power_gating(false);
     }
-    let faults = args
-        .faults
-        .as_deref()
-        .map(|spec| FaultPlan::parse(spec).map_err(|e| CliError::Usage(format!("--faults: {e}"))))
-        .transpose()?;
     let recorder = args.trace.as_ref().map(|_| SharedRecorder::default());
     let session = session_with_trace(cfg, args.threads, recorder.clone(), faults)?;
     let report = algorithm.run_on(&session, &graph)?;
@@ -409,11 +410,7 @@ fn sweep<W: Write>(args: SweepArgs, out: &mut W) -> Result<(), CliError> {
                 .map_err(io_err)?;
             }
         }
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown sweep axis '{other}' (use sram/cells/density)"
-            )))
-        }
+        other => unreachable!("args::parse admits no sweep axis '{other}'"),
     }
     Ok(())
 }

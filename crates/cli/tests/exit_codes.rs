@@ -29,6 +29,46 @@ fn usage_errors_exit_two() {
     assert!(stderr.contains("USAGE"), "{stderr}");
 }
 
+/// Runs the whitespace-separated `line`, asserts it is a usage error
+/// caught before anything is printed, and returns its stderr.
+fn assert_usage_error_before_output(line: &str) -> String {
+    let args: Vec<&str> = line.split_whitespace().collect();
+    let out = run(&args);
+    assert_eq!(out.status.code(), Some(2), "{line}: {out:?}");
+    assert!(out.stdout.is_empty(), "{line} printed {out:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn bad_values_are_rejected_before_loading_the_graph() {
+    for line in [
+        "sweep --what nope --dataset yt",
+        "sweep --what sram --dataset yt --threads 0",
+        "compare --alg bfs --dataset yt --threads 0",
+        "recommend --vertices 1000 --edges 5000 --navg nan",
+        "recommend --vertices 1000 --edges 5000 --navg inf",
+        "recommend --vertices 1000 --edges 5000 --navg 0",
+        "recommend --vertices 1000 --edges 5000 --partitions 0",
+        // A missing input file is a runtime failure (exit 1), so exit 2
+        // here shows the bad value was caught before the file was opened.
+        "run --alg pr --input /nonexistent/graph.txt --config nope",
+        "run --alg pr --input /nonexistent/graph.txt --faults seed=x",
+        "run --alg pr --input /nonexistent/graph.txt --threads 0",
+    ] {
+        assert_usage_error_before_output(line);
+    }
+}
+
+#[test]
+fn sram_capacity_that_overflows_bytes_exits_two() {
+    // 2^64 − 1 MB wrapped to a huge bogus capacity; 2^44 MB wrapped to 0.
+    for mb in ["18446744073709551615", "17592186044416"] {
+        let line = format!("run --alg pr --dataset yt --iters 1 --sram-mb {mb}");
+        let stderr = assert_usage_error_before_output(&line);
+        assert!(stderr.contains("overflows"), "{mb}: {stderr}");
+    }
+}
+
 #[test]
 fn runtime_failures_exit_one() {
     // The arguments parse fine; the input file simply does not exist.

@@ -188,7 +188,7 @@ impl SystemConfig {
     /// # Errors
     ///
     /// [`CoreError::InvalidConfig`] when PU count / density / SRAM size /
-    /// dataset scale is zero. Device choices (power gating needs a
+    /// dataset scale is zero, or the SRAM's byte count overflows `u64`. Device choices (power gating needs a
     /// nonvolatile edge memory) are checked when
     /// [`HierarchyInstance::build`](crate::HierarchyInstance::build) builds
     /// them.
@@ -206,6 +206,14 @@ impl SystemConfig {
         if self.sram_mb == Some(0) {
             return Err(CoreError::InvalidConfig {
                 message: "SRAM capacity must be positive when present".into(),
+            });
+        }
+        if self
+            .sram_mb
+            .is_some_and(|mb| mb.checked_mul(1024 * 1024).is_none())
+        {
+            return Err(CoreError::InvalidConfig {
+                message: "SRAM capacity overflows a 64-bit byte count".into(),
             });
         }
         if self.dataset_scale == 0 {
@@ -265,6 +273,23 @@ mod tests {
         assert!(SystemConfig::hyve().with_num_pus(0).validate().is_err());
         assert!(SystemConfig::hyve().with_density(0).validate().is_err());
         assert!(SystemConfig::hyve().with_sram_mb(0).validate().is_err());
+    }
+
+    #[test]
+    fn sram_byte_count_overflow_rejected() {
+        // 2^44 MB is 2^64 bytes: the product wraps to 0 unchecked.
+        let largest = u64::MAX / (1024 * 1024);
+        assert!(SystemConfig::hyve()
+            .with_sram_mb(largest)
+            .validate()
+            .is_ok());
+        for mb in [largest + 1, 1 << 44, u64::MAX] {
+            let err = SystemConfig::hyve()
+                .with_sram_mb(mb)
+                .validate()
+                .unwrap_err();
+            assert!(err.to_string().contains("overflows"), "{mb}: {err}");
+        }
     }
 
     #[test]

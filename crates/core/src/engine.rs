@@ -30,7 +30,7 @@ use crate::schedule::SuperBlockSchedule;
 use crate::session::SimulationSession;
 use crate::stats::{EnergyBreakdown, PhaseTimes, RunReport};
 use crate::trace::{TraceChannel, TraceEvent};
-use hyve_algorithms::{EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
+use hyve_algorithms::{registers_change, EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
 use hyve_graph::{GraphError, GridGraph, VertexId};
 use hyve_memsim::Time;
 
@@ -71,17 +71,6 @@ struct PuScratch<V> {
     blocks_processed: u64,
     /// Non-empty blocks this PU elided via dirty-interval skipping.
     blocks_skipped: u64,
-}
-
-/// Whether `new` counts as a change against `old` for convergence and
-/// dirty-interval tracking. A value that is not equal to itself (an IEEE
-/// NaN escaping a user [`EdgeProgram`]) never registers: counting NaN as
-/// "changed" would hold `changed` true forever and spin every converge-bound
-/// run to its iteration cap (see the `Monotone` invariants on
-/// [`ExecutionMode`]).
-#[allow(clippy::eq_op)]
-fn registers_change<V: PartialEq>(old: &V, new: &V) -> bool {
-    new != old && new == new
 }
 
 /// Algorithm 2 itself: the session runs it over the memory hierarchy it
@@ -845,16 +834,6 @@ mod tests {
             assert_eq!(fast_changed, full_changed);
             assert_eq!(fast_changed.len() as u32, fast_report.iterations);
         }
-    }
-
-    #[test]
-    fn nan_values_never_register_as_changed() {
-        assert!(registers_change(&1.0f32, &2.0));
-        assert!(!registers_change(&1.0f32, &1.0));
-        assert!(!registers_change(&1.0f32, &f32::NAN));
-        assert!(!registers_change(&f32::NAN, &f32::NAN));
-        // NaN as the *old* value still lets a real value land.
-        assert!(registers_change(&f32::NAN, &1.0));
     }
 
     #[test]

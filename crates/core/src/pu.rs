@@ -13,7 +13,6 @@ use hyve_memsim::{Energy, Power, Time};
 pub struct ProcessingUnit {
     arithmetic_energy: Energy,
     compare_energy: Energy,
-    unpipelined_latency: Time,
     pipelined_period: Time,
     leakage: Power,
 }
@@ -25,7 +24,6 @@ impl ProcessingUnit {
         ProcessingUnit {
             arithmetic_energy: Energy::from_pj(3.7),
             compare_energy: Energy::from_pj(0.9),
-            unpipelined_latency: Time::from_ns(18.783),
             pipelined_period: Time::from_ns(1.5),
             leakage: Power::from_mw(8.0),
         }
@@ -43,11 +41,6 @@ impl ProcessingUnit {
     /// Steady-state per-edge period with the operator pipelined.
     pub fn pipelined_period(&self) -> Time {
         self.pipelined_period
-    }
-
-    /// Latency of a single un-pipelined operation (fills the pipeline).
-    pub fn unpipelined_latency(&self) -> Time {
-        self.unpipelined_latency
     }
 
     /// Static leakage of the unit.
@@ -70,18 +63,11 @@ mod tests {
     fn anchors_match_paper() {
         let pu = ProcessingUnit::new();
         assert!((pu.edge_energy(true).as_pj() - 3.7).abs() < 1e-12);
-        assert!((pu.unpipelined_latency().as_ns() - 18.783).abs() < 1e-12);
     }
 
     #[test]
     fn compare_cheaper_than_multiply() {
         let pu = ProcessingUnit::new();
         assert!(pu.edge_energy(false) < pu.edge_energy(true));
-    }
-
-    #[test]
-    fn pipelining_beats_raw_latency() {
-        let pu = ProcessingUnit::default();
-        assert!(pu.pipelined_period() < pu.unpipelined_latency());
     }
 }

@@ -12,7 +12,6 @@ use hyve_memsim::{Energy, Power, Time};
 /// An N-port crossbar-style router between PUs and source vertex memories.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Router {
-    ports: u32,
     hop_energy_per_word: Energy,
     reroute_latency: Time,
     reroute_energy: Energy,
@@ -32,17 +31,11 @@ impl Router {
         assert!(ports > 0, "router needs at least one port");
         let n = f64::from(ports);
         Router {
-            ports,
             hop_energy_per_word: Energy::from_pj(0.15) * n.sqrt(),
             reroute_latency: Time::from_ns(10.0),
             reroute_energy: Energy::from_pj(12.0) * n,
             leakage: Power::from_uw(40.0) * n * n,
         }
-    }
-
-    /// Number of ports.
-    pub fn ports(&self) -> u32 {
-        self.ports
     }
 
     /// Interconnect energy of moving one 32-bit word through the router.
@@ -78,7 +71,6 @@ mod tests {
         assert!(r8.hop_energy_per_word() > r4.hop_energy_per_word());
         assert!(r8.reroute_energy() > r4.reroute_energy());
         assert!(r8.leakage() > r4.leakage());
-        assert_eq!(r8.ports(), 8);
     }
 
     #[test]

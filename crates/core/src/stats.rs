@@ -213,15 +213,6 @@ impl RunReport {
         }
         self.edges_processed as f64 / e.as_uj()
     }
-
-    /// Average power over the run.
-    pub fn avg_power(&self) -> hyve_memsim::Power {
-        if self.elapsed() == Time::ZERO {
-            hyve_memsim::Power::ZERO
-        } else {
-            self.energy() / self.elapsed()
-        }
-    }
 }
 
 impl fmt::Display for RunReport {
@@ -248,7 +239,6 @@ impl fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyve_memsim::Power;
 
     fn report() -> RunReport {
         let mut breakdown = EnergyBreakdown::default();
@@ -295,12 +285,10 @@ mod tests {
     }
 
     #[test]
-    fn mteps_and_power() {
+    fn mteps() {
         let r = report();
         // 1000 edges in 1 us = 1e9 edges/s = 1000 MTEPS.
         assert!((r.mteps() - 1000.0).abs() < 1e-9);
-        let p: Power = r.avg_power();
-        assert!((p.as_mw() - 0.128).abs() < 1e-9);
     }
 
     #[test]
@@ -324,7 +312,6 @@ mod tests {
         };
         assert_eq!(r.mteps(), 0.0);
         assert_eq!(r.mteps_per_watt(), 0.0);
-        assert_eq!(r.avg_power(), Power::ZERO);
         assert_eq!(r.breakdown.memory_fraction(), 0.0);
     }
 

@@ -2,7 +2,7 @@
 //! graph, matching the edge-centric model's view of "a big array of edges".
 
 use crate::error::GraphError;
-use crate::types::{Edge, VertexId};
+use crate::types::Edge;
 
 /// An edge list with a declared vertex count.
 ///
@@ -121,20 +121,6 @@ impl EdgeList {
         }
         deg
     }
-
-    /// In-degree of every vertex.
-    pub fn in_degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.num_vertices as usize];
-        for e in &self.edges {
-            deg[e.dst.index()] += 1;
-        }
-        deg
-    }
-
-    /// Highest vertex id actually referenced, if any edge exists.
-    pub fn max_vertex(&self) -> Option<VertexId> {
-        self.edges.iter().map(|e| e.src.max(e.dst)).max()
-    }
 }
 
 impl<'a> IntoIterator for &'a EdgeList {
@@ -187,7 +173,6 @@ mod tests {
         assert_eq!(g.len(), 11);
         assert!(!g.is_empty());
         assert!((g.avg_degree() - 11.0 / 8.0).abs() < 1e-12);
-        assert_eq!(g.max_vertex(), Some(VertexId::new(7)));
     }
 
     #[test]
@@ -195,9 +180,6 @@ mod tests {
         let g = sample();
         let out = g.out_degrees();
         assert_eq!(out, vec![1, 1, 2, 2, 2, 0, 2, 1]);
-        let inn = g.in_degrees();
-        assert_eq!(inn.iter().sum::<u32>(), 11);
-        assert_eq!(inn[1], 2); // 4->1 and 7->1
     }
 
     #[test]
@@ -223,7 +205,6 @@ mod tests {
     fn degenerate_empty() {
         let g = EdgeList::new(0);
         assert_eq!(g.avg_degree(), 0.0);
-        assert_eq!(g.max_vertex(), None);
         assert!(g.is_empty());
     }
 }

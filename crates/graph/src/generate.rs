@@ -3,8 +3,9 @@
 //! The paper evaluates on five SNAP graphs we cannot redistribute; the
 //! [`Rmat`] generator (Chakrabarti et al.) reproduces their power-law degree
 //! skew — the property that determines block sparsity (Table 1's `Navg`),
-//! read/write mixes and partition balance — and [`ErdosRenyi`] provides a
-//! uniform control. Both are fully deterministic given a seed.
+//! read/write mixes and partition balance. Equal quadrant probabilities
+//! ([`Rmat::with_probabilities`]`(0.25, 0.25, 0.25)`) give a uniform
+//! control. Output is fully deterministic given a seed.
 
 use crate::edgelist::EdgeList;
 use crate::types::Edge;
@@ -129,49 +130,6 @@ impl Rmat {
     }
 }
 
-/// Uniform Erdős–Rényi G(n, m) generator.
-///
-/// ```
-/// use hyve_graph::ErdosRenyi;
-/// let g = ErdosRenyi::new(100, 500).generate(1);
-/// assert_eq!(g.len(), 500);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ErdosRenyi {
-    num_vertices: u32,
-    num_edges: usize,
-}
-
-impl ErdosRenyi {
-    /// Creates a G(n, m) generator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_vertices` < 2 (no non-loop edges exist).
-    pub fn new(num_vertices: u32, num_edges: usize) -> Self {
-        assert!(num_vertices >= 2, "need at least two vertices");
-        ErdosRenyi {
-            num_vertices,
-            num_edges,
-        }
-    }
-
-    /// Generates the edge list deterministically from `seed`.
-    pub fn generate(&self, seed: u64) -> EdgeList {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut edges = Vec::with_capacity(self.num_edges);
-        while edges.len() < self.num_edges {
-            let src = rng.gen_range(0..self.num_vertices);
-            let dst = rng.gen_range(0..self.num_vertices);
-            if src == dst {
-                continue;
-            }
-            edges.push(Edge::new(src, dst));
-        }
-        EdgeList::from_vec(self.num_vertices, edges)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,12 +166,14 @@ mod tests {
         let n = 2048u32;
         let m = 16 * n as usize;
         let rmat = Rmat::new(n, m).generate(5);
-        let er = ErdosRenyi::new(n, m).generate(5);
+        let flat = Rmat::new(n, m)
+            .with_probabilities(0.25, 0.25, 0.25)
+            .generate(5);
         let max_rmat = *rmat.out_degrees().iter().max().unwrap();
-        let max_er = *er.out_degrees().iter().max().unwrap();
+        let max_flat = *flat.out_degrees().iter().max().unwrap();
         assert!(
-            max_rmat > 2 * max_er,
-            "R-MAT max degree {max_rmat} should dwarf ER {max_er}"
+            max_rmat > 2 * max_flat,
+            "R-MAT max degree {max_rmat} should dwarf uniform {max_flat}"
         );
     }
 
@@ -291,12 +251,8 @@ mod tests {
                 "non-power-of-two".to_string(),
                 Rmat::new(1_000, 20_000).generate(11),
             ),
-            (
-                "erdos-renyi".to_string(),
-                ErdosRenyi::new(1_000, 20_000).generate(5),
-            ),
         ]);
-        let expected: [u64; 9] = [
+        let expected: [u64; 8] = [
             0x408c_3c51_ce44_6b04, // YT
             0x53aa_6c4c_0579_0f3b, // WK
             0x3018_60a3_eaac_da2c, // AS
@@ -305,29 +261,10 @@ mod tests {
             0x3f2d_162b_d60c_8e6e, // custom probabilities
             0xddfd_1f85_d532_d9a1, // self-loops
             0x18c8_77a3_ff1d_90e9, // non-power-of-two
-            0xb7cc_4ac6_cbde_887c, // erdos-renyi
         ];
         assert_eq!(cases.len(), expected.len());
         for ((name, g), want) in cases.iter().zip(expected) {
             assert_eq!(fingerprint(g), want, "{name} changed");
         }
-    }
-
-    #[test]
-    fn erdos_renyi_uniformish() {
-        let g = ErdosRenyi::new(100, 10_000).generate(4);
-        let deg = g.out_degrees();
-        let max = *deg.iter().max().unwrap() as f64;
-        let mean = 10_000.0 / 100.0;
-        assert!(
-            max < 2.0 * mean,
-            "uniform degrees should stay near the mean"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two")]
-    fn erdos_renyi_needs_two_vertices() {
-        let _ = ErdosRenyi::new(1, 1);
     }
 }

@@ -11,7 +11,7 @@
 //! * [`DynamicGrid`] — the O(1) add/delete working flow for evolving graphs
 //!   (§5), with per-block reserved slack for the blocks that hold or have
 //!   held edges and a lazily rebuilt [`GridGraph`] snapshot,
-//! * [`generate`] — R-MAT and Erdős–Rényi generators,
+//! * [`generate`] — the R-MAT generator,
 //! * [`DatasetProfile`] — scaled-down stand-ins for the paper's five SNAP
 //!   datasets (YT, WK, AS, LJ, TW) preserving |E|/|V| ratio and skew,
 //! * [`io`] — SNAP-style text edge-list parsing.
@@ -50,7 +50,7 @@ pub use datasets::DatasetProfile;
 pub use dynamic::{DynamicGrid, Mutation, MutationOutcome};
 pub use edgelist::EdgeList;
 pub use error::GraphError;
-pub use generate::{ErdosRenyi, Rmat};
+pub use generate::Rmat;
 pub use grid::GridGraph;
 pub use partition::{block_sparsity, BlockId, IntervalPartition, SparsityStats};
 pub use stats::DegreeStats;

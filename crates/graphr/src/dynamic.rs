@@ -57,13 +57,22 @@ impl GraphrDynamic {
     ///
     /// # Errors
     ///
-    /// [`GraphError::MutationFailed`] for out-of-range vertices or removing
-    /// a nonexistent edge.
+    /// [`GraphError::MutationFailed`] for out-of-range vertices, adding an
+    /// edge to a deleted vertex or removing a nonexistent edge — the same
+    /// requests [`DynamicGrid`](hyve_graph::DynamicGrid) rejects.
     pub fn apply(&mut self, m: Mutation) -> Result<MutationOutcome, GraphError> {
         match m {
             Mutation::AddEdge(e) => {
                 self.check(e.src.raw())?;
                 self.check(e.dst.raw())?;
+                // As in HyVE (§5): a deleted vertex keeps degree 0.
+                for v in [e.src, e.dst] {
+                    if self.is_tombstoned(v) {
+                        return Err(GraphError::MutationFailed {
+                            message: format!("vertex {} is deleted", v.raw()),
+                        });
+                    }
+                }
                 let block = self
                     .layout
                     .blocks_mut()
@@ -182,6 +191,16 @@ mod tests {
         d.apply(Mutation::RemoveVertex(VertexId::new(9))).unwrap();
         assert!(d.is_tombstoned(VertexId::new(9)));
         // Tombstoning counts 0->9 and 1->9 as changed edges.
+        assert_eq!(d.edges_changed(), 2);
+    }
+
+    #[test]
+    fn add_edge_to_deleted_vertex_is_rejected() {
+        let mut d = make();
+        d.apply(Mutation::RemoveVertex(VertexId::new(9))).unwrap();
+        assert!(d.apply(Mutation::AddEdge(Edge::new(9, 2))).is_err());
+        assert!(d.apply(Mutation::AddEdge(Edge::new(2, 9))).is_err());
+        assert_eq!(d.layout().num_edges(), 3);
         assert_eq!(d.edges_changed(), 2);
     }
 

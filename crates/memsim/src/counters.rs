@@ -2,7 +2,7 @@
 
 use crate::units::{Energy, Time};
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign};
 
 /// Running totals of accesses, moved bits, dynamic energy and busy time for
 /// one memory channel.
@@ -55,11 +55,6 @@ impl AccessStats {
         self.background_energy += energy;
     }
 
-    /// Total accesses (reads + writes).
-    pub fn accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// Total bits moved in either direction.
     pub fn bits_moved(&self) -> u64 {
         self.bits_read + self.bits_written
@@ -68,17 +63,6 @@ impl AccessStats {
     /// Total energy: dynamic plus background.
     pub fn total_energy(&self) -> Energy {
         self.dynamic_energy + self.background_energy
-    }
-
-    /// A copy of the current totals. Observers pair this with [`Sub`] to
-    /// compute per-interval deltas without disturbing the live counters.
-    pub fn snapshot(&self) -> AccessStats {
-        *self
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        *self = AccessStats::default();
     }
 }
 
@@ -100,24 +84,6 @@ impl Add for AccessStats {
 impl AddAssign for AccessStats {
     fn add_assign(&mut self, rhs: AccessStats) {
         *self = *self + rhs;
-    }
-}
-
-impl Sub for AccessStats {
-    type Output = AccessStats;
-
-    /// Delta between two snapshots of the same monotone counter set.
-    /// Count fields saturate at zero so a stale baseline never underflows.
-    fn sub(self, rhs: AccessStats) -> AccessStats {
-        AccessStats {
-            reads: self.reads.saturating_sub(rhs.reads),
-            writes: self.writes.saturating_sub(rhs.writes),
-            bits_read: self.bits_read.saturating_sub(rhs.bits_read),
-            bits_written: self.bits_written.saturating_sub(rhs.bits_written),
-            dynamic_energy: self.dynamic_energy - rhs.dynamic_energy,
-            background_energy: self.background_energy - rhs.background_energy,
-            busy_time: self.busy_time - rhs.busy_time,
-        }
     }
 }
 
@@ -147,7 +113,6 @@ mod tests {
         s.record_background(Energy::from_pj(5.0));
         assert_eq!(s.reads, 1);
         assert_eq!(s.writes, 1);
-        assert_eq!(s.accesses(), 2);
         assert_eq!(s.bits_read, 64);
         assert_eq!(s.bits_written, 32);
         assert_eq!(s.bits_moved(), 96);
@@ -163,30 +128,11 @@ mod tests {
         let mut b = AccessStats::new();
         b.record_write(8, Energy::from_pj(2.0), Time::from_ns(1.0));
         let c = a + b;
-        assert_eq!(c.accesses(), 2);
+        assert_eq!((c.reads, c.writes), (1, 1));
         assert_eq!(c.dynamic_energy.as_pj(), 3.0);
         let mut d = a;
         d += b;
         assert_eq!(d, c);
-    }
-
-    #[test]
-    fn snapshot_and_delta() {
-        let mut s = AccessStats::new();
-        s.record_read(64, Energy::from_pj(10.0), Time::from_ns(1.0));
-        let base = s.snapshot();
-        s.record_write(32, Energy::from_pj(20.0), Time::from_ns(2.0));
-        let delta = s - base;
-        assert_eq!(delta.reads, 0);
-        assert_eq!(delta.writes, 1);
-        assert_eq!(delta.bits_written, 32);
-        assert_eq!(delta.dynamic_energy.as_pj(), 20.0);
-        assert_eq!(delta.busy_time.as_ns(), 2.0);
-        // Counts saturate rather than underflow on a stale baseline.
-        let inverted = base - s;
-        assert_eq!(inverted.writes, 0);
-        s.reset();
-        assert_eq!(s, AccessStats::default());
     }
 
     #[test]

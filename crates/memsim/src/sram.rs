@@ -125,18 +125,6 @@ impl SramArray {
         Energy::from_pj(24.74) * self.cap_ratio.powf(0.45)
     }
 
-    /// Latency of one word read (anchored at 960.03 ps for 2 MB; the
-    /// 1.071 ns → 1.808 ns clock growth from 2 MB to 4 MB fixes the 0.75
-    /// exponent).
-    pub fn word_read_latency(&self) -> Time {
-        Time::from_ps(960.03) * self.cap_ratio.powf(0.75)
-    }
-
-    /// Latency of one word write (anchored at 557.089 ps for 2 MB).
-    pub fn word_write_latency(&self) -> Time {
-        Time::from_ps(557.089) * self.cap_ratio.powf(0.75)
-    }
-
     /// Width of a full internal row, the granularity bulk DMA transfers
     /// (interval loads/stores) use.
     pub const ROW_BITS: u64 = 512;
@@ -152,21 +140,6 @@ impl SramArray {
     /// [`row_read_energy`](Self::row_read_energy)).
     pub fn row_write_energy(&self) -> Energy {
         self.word_write_energy() * 4.0
-    }
-
-    /// Energy of a bulk transfer of `bits` bits into the array.
-    pub fn bulk_write_energy(&self, bits: u64) -> Energy {
-        self.row_write_energy() * bits.div_ceil(Self::ROW_BITS).max(1) as f64
-    }
-
-    /// Energy of a bulk transfer of `bits` bits out of the array.
-    pub fn bulk_read_energy(&self, bits: u64) -> Energy {
-        self.row_read_energy() * bits.div_ceil(Self::ROW_BITS).max(1) as f64
-    }
-
-    /// Time to stream `bits` bits in or out at row granularity.
-    pub fn bulk_transfer_time(&self, bits: u64) -> Time {
-        self.word_write_latency() * bits.div_ceil(Self::ROW_BITS).max(1) as f64
     }
 }
 
@@ -211,12 +184,16 @@ impl MemoryDevice for SramArray {
         1.0
     }
 
+    /// Latency of one word read (anchored at 960.03 ps for 2 MB; the
+    /// 1.071 ns → 1.808 ns clock growth from 2 MB to 4 MB fixes the 0.75
+    /// exponent).
     fn word_read_latency(&self) -> Time {
-        SramArray::word_read_latency(self)
+        Time::from_ps(960.03) * self.cap_ratio.powf(0.75)
     }
 
+    /// Latency of one word write (anchored at 557.089 ps for 2 MB).
     fn word_write_latency(&self) -> Time {
-        SramArray::word_write_latency(self)
+        Time::from_ps(557.089) * self.cap_ratio.powf(0.75)
     }
 
     /// Bulk transfers move full 512-bit rows (see
@@ -224,15 +201,16 @@ impl MemoryDevice for SramArray {
     /// traffic — this override is what lets the engine drive the on-chip
     /// tier through the [`MemoryDevice`] interface alone.
     fn bulk_write_energy(&self, bits: u64) -> Energy {
-        SramArray::bulk_write_energy(self, bits)
+        self.row_write_energy() * bits.div_ceil(SramArray::ROW_BITS).max(1) as f64
     }
 
     fn bulk_read_energy(&self, bits: u64) -> Energy {
-        SramArray::bulk_read_energy(self, bits)
+        self.row_read_energy() * bits.div_ceil(SramArray::ROW_BITS).max(1) as f64
     }
 
+    /// Time to stream `bits` bits in or out at row granularity.
     fn bulk_transfer_time(&self, bits: u64) -> Time {
-        SramArray::bulk_transfer_time(self, bits)
+        self.word_write_latency() * bits.div_ceil(SramArray::ROW_BITS).max(1) as f64
     }
 }
 
@@ -283,15 +261,12 @@ mod tests {
     }
 
     #[test]
-    fn trait_surface_matches_inherent_bulk_methods() {
+    fn bulk_transfers_amortise_rows() {
         let s = SramArray::new(SramConfig::default());
         let d: &dyn MemoryDevice = &s;
-        assert_eq!(d.word_read_latency(), s.word_read_latency());
-        assert_eq!(d.word_write_latency(), s.word_write_latency());
-        assert_eq!(d.bulk_read_energy(4096), s.bulk_read_energy(4096));
-        assert_eq!(d.bulk_write_energy(4096), s.bulk_write_energy(4096));
-        assert_eq!(d.bulk_transfer_time(4096), s.bulk_transfer_time(4096));
-        // And the row amortisation really differs from word traffic.
+        assert_eq!(d.bulk_read_energy(4096), s.row_read_energy() * 8.0);
+        assert_eq!(d.bulk_write_energy(4096), s.row_write_energy() * 8.0);
+        // The row amortisation really differs from word traffic.
         assert!(d.bulk_read_energy(4096) < d.read_energy(4096));
     }
 

@@ -33,16 +33,6 @@ impl Energy {
         Energy(nj * 1e3)
     }
 
-    /// Creates an energy from microjoules.
-    pub const fn from_uj(uj: f64) -> Self {
-        Energy(uj * 1e6)
-    }
-
-    /// Creates an energy from millijoules.
-    pub const fn from_mj(mj: f64) -> Self {
-        Energy(mj * 1e9)
-    }
-
     /// Creates an energy from joules.
     pub const fn from_j(j: f64) -> Self {
         Energy(j * 1e12)
@@ -61,11 +51,6 @@ impl Energy {
     /// Returns the energy in microjoules.
     pub fn as_uj(self) -> f64 {
         self.0 * 1e-6
-    }
-
-    /// Returns the energy in millijoules.
-    pub fn as_mj(self) -> f64 {
-        self.0 * 1e-9
     }
 
     /// Returns the energy in joules.
@@ -209,11 +194,6 @@ impl Power {
     /// Returns the power in milliwatts.
     pub fn as_mw(self) -> f64 {
         self.0
-    }
-
-    /// Returns the power in watts.
-    pub fn as_w(self) -> f64 {
-        self.0 * 1e-3
     }
 
     /// Returns the larger of two powers.

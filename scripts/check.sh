@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The repo's full gate: formatting, lints, release build, and the test
-# suite — exactly what CI runs. Everything works offline (vendored deps).
+# The repo's full gate: formatting, lints, docs, release build, the test
+# suite (the determinism suite runs inside `cargo test -q`) and the smokes.
+# CI runs this script as its gate. Everything works offline (vendored deps).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

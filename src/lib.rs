@@ -19,7 +19,7 @@
 //! ```
 //! use hyve::prelude::*;
 //!
-//! # fn main() -> Result<(), HyveError> {
+//! # fn main() -> Result<(), CoreError> {
 //! let edges = DatasetProfile::youtube_scaled().generate(42);
 //! let session = SimulationSession::builder(SystemConfig::hyve_opt()).build()?;
 //! let report = session.run_on_edge_list(&PageRank::new(5), &edges)?;
@@ -28,10 +28,7 @@
 //! # }
 //! ```
 
-pub mod error;
 pub mod prelude;
-
-pub use error::HyveError;
 
 pub use hyve_algorithms as algorithms;
 pub use hyve_baselines as baselines;

@@ -3,7 +3,7 @@
 //! ```
 //! use hyve::prelude::*;
 //!
-//! # fn main() -> Result<(), HyveError> {
+//! # fn main() -> Result<(), CoreError> {
 //! let graph = DatasetProfile::youtube_scaled().generate(42);
 //! let session = SimulationSession::builder(SystemConfig::hyve_opt())
 //!     .parallel(4)
@@ -14,7 +14,6 @@
 //! # }
 //! ```
 
-pub use crate::error::HyveError;
 pub use hyve_algorithms::{
     Bfs, ConnectedComponents, EdgeProgram, ExecutionMode, IterationBound, PageRank, SpMv, Sssp,
 };
