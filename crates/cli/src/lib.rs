@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! hyve run --alg pr --config hyve-opt --dataset yt      run one workload
+//! hyve report trace.jsonl [baseline.jsonl]              print or diff a trace artifact
 //! hyve compare --alg bfs --dataset as                   all hierarchies + GraphR + CPU
 //! hyve sweep --what sram --dataset lj                   design-space sweeps
 //! hyve recommend --vertices 1000000 --edges 30000000    §6.6 design advisor
@@ -9,16 +10,20 @@
 //! hyve gen --vertices 1000 --edges 8000 --out g.txt     write a SNAP file
 //! ```
 //!
-//! The argument parser is hand-rolled (no external dependencies) and fully
-//! unit-tested; `main.rs` is a thin shim over [`run_cli`].
+//! A hand-rolled splitter (no external dependencies) turns argv into flags.
+//! Each command reads and checks every flag it takes before it loads a
+//! graph, and `tests/transcript.rs` pins what each command prints and
+//! exits with. `main.rs` is a thin shim over [`run_cli`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
-pub mod commands;
+mod args;
+mod commands;
 
+use args::Flags;
 use std::fmt;
+use std::io::Write;
 
 /// CLI-level error: bad usage or a failure bubbling up from the library.
 #[derive(Debug)]
@@ -59,10 +64,50 @@ impl std::error::Error for CliError {}
 ///
 /// [`CliError::Usage`] on malformed arguments; [`CliError::Failed`] when an
 /// engine or I/O operation fails.
-pub fn run_cli<W: std::io::Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
-    let cmd = args::parse(argv)?;
-    commands::execute(cmd, out)
+pub fn run_cli(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    let (name, rest) = match argv.split_first() {
+        Some((name, rest)) if !matches!(name.as_str(), "help" | "--help" | "-h") => (name, rest),
+        _ => return commands::help(out),
+    };
+    if name == "report" {
+        return commands::report(rest, out);
+    }
+    let (_, known, command) = COMMANDS
+        .iter()
+        .find(|(command, ..)| command == name)
+        .ok_or_else(|| CliError::Usage(format!("unknown command '{name}'")))?;
+    let flags = Flags::parse(rest, known)?;
+    if flags.get("help").is_some() {
+        return commands::help(out);
+    }
+    command(&flags, out)
 }
+
+/// A command that takes only flags, given the flags it was called with.
+type CommandFn = fn(&Flags, &mut dyn Write) -> Result<(), CliError>;
+
+/// Each flag-only command: its name, the flags it takes and its function.
+/// (`report` takes positional paths; [`run_cli`] hands it the rest of argv.)
+const COMMANDS: [(&str, &str, CommandFn); 6] = [
+    (
+        "run",
+        "alg config dataset input seed iters sram-mb no-sharing no-gating threads trace faults",
+        commands::run,
+    ),
+    (
+        "compare",
+        "alg dataset input seed threads",
+        commands::compare,
+    ),
+    ("sweep", "what dataset input seed threads", commands::sweep),
+    (
+        "recommend",
+        "vertices edges partitions navg objective",
+        commands::recommend,
+    ),
+    ("info", "dataset input seed", commands::info),
+    ("gen", "vertices edges out seed", commands::gen),
+];
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
