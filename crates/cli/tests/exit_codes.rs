@@ -57,6 +57,8 @@ fn bad_values_are_rejected_before_loading_the_graph() {
         "run --alg pr --input /nonexistent/graph.txt --iters 0",
         "run --alg pr --input /nonexistent/graph.txt --sram-mb 0",
         "run --alg pr --input /nonexistent/graph.txt --sram-mb 17592186044416",
+        "run --alg cc --input /nonexistent/graph.txt --seed 7",
+        "info --input /nonexistent/graph.txt --seed 7",
     ] {
         assert_usage_error_before_output(line);
     }
@@ -82,6 +84,26 @@ fn runtime_failures_exit_one() {
         !stderr.contains("USAGE"),
         "runtime failures should not dump usage: {stderr}"
     );
+}
+
+/// `/dev/full` accepts the open and fails every write with ENOSPC, so
+/// only a flushed writer sees the failure.
+#[cfg(target_os = "linux")]
+#[test]
+fn gen_reports_a_failed_write() {
+    let out = run(&[
+        "gen",
+        "--vertices",
+        "100",
+        "--edges",
+        "500",
+        "--out",
+        "/dev/full",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "gen claimed a write: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("write /dev/full"), "{stderr}");
 }
 
 #[test]
