@@ -119,9 +119,10 @@ USAGE:
                  [--trace <file.jsonl>] [--faults <spec>]
   hyve report    <artifact.jsonl> [<baseline.jsonl>]
   hyve compare   --alg <name> (--dataset <tag> | --input <file>) [--seed N] [--threads N]
-  hyve sweep     --what <sram|cells|density> (--dataset <tag> | --input <file>) [--threads N]
+  hyve sweep     --what <sram|cells|density> (--dataset <tag> | --input <file>) [--seed N]
+                 [--threads N]
   hyve recommend --vertices N --edges M [--partitions P] [--navg X] [--objective <latency|energy|edp>]
-  hyve info      (--dataset <tag> | --input <file>)
+  hyve info      (--dataset <tag> | --input <file>) [--seed N]
   hyve gen       --vertices N --edges M --out <file> [--seed N]
 
 datasets: yt, wk, as, lj, tw (scaled stand-ins for the paper's Table 2)
@@ -136,3 +137,32 @@ keys: seed, reram-ber, dram-ber, sram-ber, ecc=<none|secded|bch>, retries,
 wear-limit, stuck-bank=CHIP:BANK (repeatable). Same seed, same counts —
 corrections, retries and bank remaps land in the report and trace artifact.
 ";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Every flag a command takes is on its usage line, and no other.
+    #[test]
+    fn usage_lists_exactly_each_commands_flags() {
+        for (name, known, _) in COMMANDS {
+            // The command's line and its indented continuation lines.
+            let mut lines = USAGE
+                .lines()
+                .skip_while(|l| !l.starts_with(&format!("  hyve {name} ")));
+            let first = lines
+                .next()
+                .unwrap_or_else(|| panic!("no usage line for {name}"));
+            let text = lines
+                .take_while(|l| l.starts_with("    "))
+                .fold(first.to_string(), |text, l| text + l);
+            let listed: BTreeSet<&str> = (text
+                .split(|c: char| c.is_whitespace() || "[]()|".contains(c)))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+            let taken: BTreeSet<&str> = known.split(' ').collect();
+            assert_eq!(listed, taken, "usage line of {name}");
+        }
+    }
+}
