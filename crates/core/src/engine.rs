@@ -143,7 +143,7 @@ impl SimulationSession {
         // The per-run artifacts (block plan, out-degrees) derive from the
         // grid's block index and degree table once per run instead of
         // per-iteration rescans.
-        let plan = BlockPlan::build(grid, &schedule, self.strategy);
+        let plan = BlockPlan::build(grid, &schedule);
         let meta = GraphMeta {
             num_vertices: grid.num_vertices(),
             num_edges: grid.num_edges(),

@@ -95,8 +95,8 @@ pub(crate) struct BlockPlan {
 
 impl BlockPlan {
     /// Builds the memo from the grid's block index — its non-empty blocks'
-    /// ids and edge ranges; no edge is read — fanning the per-PU lists out
-    /// under `strategy`.
+    /// ids and edge ranges and its column index; no edge is read — in one
+    /// pass over the blocks, with no division per block.
     ///
     /// At (sy, sx, step) PU `pu` owns the block
     /// (sx·N + (pu+step) mod N, sy·N + pu): it owns the destination
@@ -106,63 +106,63 @@ impl BlockPlan {
     /// already a contiguous run of the block list, sources ascending:
     /// rotating each super block's stretch of that run gives every PU its
     /// list in schedule order.
-    pub(crate) fn build(
-        grid: &GridGraph,
-        schedule: &SuperBlockSchedule,
-        strategy: ExecutionStrategy,
-    ) -> Self {
-        let n = schedule.pus();
-        let p = schedule.intervals();
-        let ids = grid.block_ids();
-        // The plan holds block indices as u32.
-        assert!(
-            ids.len() <= u32::MAX as usize,
-            "non-empty block count fits in u32"
-        );
-
-        // Destination d's column is blocks bounds[d]..bounds[d + 1].
-        let mut bounds = vec![0usize; p as usize + 1];
-        for id in ids {
-            bounds[id.dst as usize + 1] += 1;
-        }
-        for d in 0..p as usize {
-            bounds[d + 1] += bounds[d];
-        }
-
-        let mut pu_blocks = vec![Vec::new(); n as usize];
-        fan_out_mut(strategy, &mut pu_blocks, |pu, blocks| {
-            let pu = pu as u32;
-            for dst in (pu..p).step_by(n as usize) {
-                let mut at = bounds[dst as usize];
-                let column = &ids[at..bounds[dst as usize + 1]];
-                for run in column.chunk_by(|a, b| a.src / n == b.src / n) {
-                    let split = run.partition_point(|id| id.src % n < pu);
-                    let rotated = (split..run.len()).chain(0..split);
-                    blocks.extend(rotated.map(|k| (at + k) as u32));
-                    at += run.len();
-                }
-            }
-        });
+    pub(crate) fn build(grid: &GridGraph, schedule: &SuperBlockSchedule) -> Self {
+        let n = schedule.pus() as usize;
+        let p = schedule.intervals() as usize;
+        let columns = grid.column_starts();
+        // Each source interval's super-block base, s − s mod N.
+        let bases: Vec<u32> = (0..p as u32)
+            .step_by(n)
+            .flat_map(|base| std::iter::repeat_n(base, n))
+            .collect();
+        // PU d mod N walks column d; size each list exactly.
+        let mut pu_blocks: Vec<Vec<u32>> = (0..n)
+            .map(|pu| {
+                let len = (pu..p).step_by(n).map(|d| columns[d + 1] - columns[d]);
+                Vec::with_capacity(len.sum::<u32>() as usize)
+            })
+            .collect();
 
         // Block (s, d) runs in step (s − d) mod N of super block
-        // (d/N, s/N). One super-block row — a contiguous run of the block
-        // list — at a time, keep each step's maximum in a P-slot scratch
-        // keyed by (sx, step), and sum the slots it touched (max and sum on
-        // u64 are exact in any order).
+        // (d/N, s/N). One super-block row — N columns — at a time, keep
+        // each step's maximum in a P-slot scratch keyed by (sx, step), and
+        // sum the slots it touched (max and sum on u64 are exact in any
+        // order).
         let mut sync_edges = 0;
-        let mut step_max = vec![0u64; p as usize];
+        let mut step_max = vec![0u64; p];
         let mut touched = Vec::new();
-        for sy in 0..p / n {
-            for b in bounds[(sy * n) as usize]..bounds[((sy + 1) * n) as usize] {
-                let (id, range) = grid.block(b);
-                let slot = ((id.src / n) * n + (id.src + n - id.dst % n) % n) as usize;
+        // A super block's sources below local index `pu`, which its PU
+        // takes after the rest.
+        let mut wrapped = Vec::with_capacity(n);
+        for (d, pu) in (0..p).zip((0..n).cycle()) {
+            let list = &mut pu_blocks[pu];
+            let mut run = u32::MAX;
+            for b in columns[d]..columns[d + 1] {
+                let (id, range) = grid.block(b as usize);
+                let base = bases[id.src as usize];
+                if base != run {
+                    list.append(&mut wrapped);
+                    run = base;
+                }
+                let local = (id.src - base) as usize;
+                let step = if local < pu {
+                    wrapped.push(b);
+                    local + n - pu
+                } else {
+                    list.push(b);
+                    local - pu
+                };
+                let slot = base as usize + step;
                 if step_max[slot] == 0 {
                     touched.push(slot);
                 }
                 step_max[slot] = step_max[slot].max(range.len() as u64);
             }
-            for slot in touched.drain(..) {
-                sync_edges += std::mem::take(&mut step_max[slot]);
+            list.append(&mut wrapped);
+            if pu == n - 1 {
+                for slot in touched.drain(..) {
+                    sync_edges += std::mem::take(&mut step_max[slot]);
+                }
             }
         }
         BlockPlan {
@@ -191,7 +191,7 @@ impl BlockPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyve_graph::DatasetProfile;
+    use hyve_graph::{DatasetProfile, Edge, EdgeList};
 
     #[test]
     fn fan_out_mut_updates_every_slot_in_place_for_any_thread_count() {
@@ -214,61 +214,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn plan_matches_schedule_iteration() {
-        let graph = DatasetProfile::youtube_scaled().generate(3);
-        for (p, n) in [(16, 4), (24, 3), (8, 8), (7, 1), (40, 8)] {
-            let grid = GridGraph::partition(&graph, p).unwrap();
-            let schedule = SuperBlockSchedule::new(p, n).unwrap();
-            let plan = BlockPlan::build(&grid, &schedule, ExecutionStrategy::Sequential);
-            assert_eq!(plan.num_pus(), n as usize);
+    /// Checks the plan for `grid` against a walk of Algorithm 2's schedule.
+    fn assert_plan_matches_schedule(grid: &GridGraph, n: u32) {
+        let p = grid.num_intervals();
+        let schedule = SuperBlockSchedule::new(p, n).unwrap();
+        let plan = BlockPlan::build(grid, &schedule);
+        assert_eq!(plan.num_pus(), n as usize);
 
-            // Each PU's list is the schedule's order, filtered to the
-            // non-empty blocks.
-            let mut want = vec![Vec::new(); n as usize];
-            for (_, assignments) in schedule.iter() {
-                for a in assignments {
-                    if grid.block_len(a.src_interval, a.dst_interval) > 0 {
-                        want[a.pu as usize].push((a.src_interval, a.dst_interval));
-                    }
+        // Each PU's list is the schedule's order, filtered to the
+        // non-empty blocks.
+        let mut want = vec![Vec::new(); n as usize];
+        for (_, assignments) in schedule.iter() {
+            for a in assignments {
+                if grid.block_len(a.src_interval, a.dst_interval) > 0 {
+                    want[a.pu as usize].push((a.src_interval, a.dst_interval));
                 }
             }
-            for (pu, want) in want.iter().enumerate() {
-                let ids = plan.blocks(pu).iter().map(|&b| grid.block(b as usize).0);
-                let got: Vec<_> = ids.map(|id| (id.src, id.dst)).collect();
-                assert_eq!(&got, want, "P={p} N={n} PU {pu}");
-            }
-            let listed: usize = (0..plan.num_pus()).map(|pu| plan.blocks(pu).len()).sum();
-            assert_eq!(listed, grid.non_empty_blocks());
-
-            // The sync cost matches a direct scan over the schedule.
-            let direct: u64 = schedule
-                .iter()
-                .map(|(_, assignments)| {
-                    assignments
-                        .iter()
-                        .map(|a| grid.block_len(a.src_interval, a.dst_interval) as u64)
-                        .max()
-                        .unwrap_or(0)
-                })
-                .sum();
-            assert_eq!(plan.sync_edges(), direct, "P={p} N={n}");
         }
+        for (pu, want) in want.iter().enumerate() {
+            let ids = plan.blocks(pu).iter().map(|&b| grid.block(b as usize).0);
+            let got: Vec<_> = ids.map(|id| (id.src, id.dst)).collect();
+            assert_eq!(&got, want, "P={p} N={n} PU {pu}");
+        }
+        let listed: usize = (0..plan.num_pus()).map(|pu| plan.blocks(pu).len()).sum();
+        assert_eq!(listed, grid.non_empty_blocks());
+
+        // The sync cost matches a direct scan over the schedule.
+        let direct: u64 = schedule
+            .iter()
+            .map(|(_, assignments)| {
+                assignments
+                    .iter()
+                    .map(|a| grid.block_len(a.src_interval, a.dst_interval) as u64)
+                    .max()
+                    .unwrap_or(0)
+            })
+            .sum();
+        assert_eq!(plan.sync_edges(), direct, "P={p} N={n}");
     }
 
     #[test]
-    fn plan_is_identical_for_any_strategy() {
-        let graph = DatasetProfile::youtube_scaled().generate(9);
-        let grid = GridGraph::partition(&graph, 8).unwrap();
-        let schedule = SuperBlockSchedule::new(8, 8).unwrap();
-        let base = BlockPlan::build(&grid, &schedule, ExecutionStrategy::Sequential);
-        for threads in [1, 2, 5, 8] {
-            let strategy = ExecutionStrategy::Parallel { threads };
-            let par = BlockPlan::build(&grid, &schedule, strategy);
-            assert_eq!(par.sync_edges(), base.sync_edges());
-            for pu in 0..base.num_pus() {
-                assert_eq!(par.blocks(pu), base.blocks(pu));
-            }
+    fn plan_matches_schedule_iteration() {
+        let graph = DatasetProfile::youtube_scaled().generate(3);
+        let cases = [
+            // One tally bucket per block (P² ≤ E), N = 1..8, N ∤ 2^k.
+            (16, 4),
+            (24, 3),
+            (8, 8),
+            (7, 1),
+            (40, 8),
+            (35, 5),
+            // One bucket per destination column (P² > E).
+            (240, 8),
+            (243, 3),
+            (300, 5),
+        ];
+        for (p, n) in cases {
+            let grid = GridGraph::partition(&graph, p).unwrap();
+            assert_plan_matches_schedule(&grid, n);
+        }
+
+        // Edges only into vertices 16..32 of 64: whole super-block rows
+        // are empty, on both partition paths (P² ≤ E = 124 for P = 8).
+        let edges = (0..64u32)
+            .flat_map(|s| [Edge::new(s, 16 + s * 7 % 16), Edge::new(s, 16 + s * 3 % 16)])
+            .filter(|e| e.src != e.dst);
+        let sparse = EdgeList::from_edges(64, edges).unwrap();
+        assert_eq!(sparse.len(), 124);
+        for (p, n) in [(8, 4), (32, 4), (32, 8), (24, 3)] {
+            let grid = GridGraph::partition(&sparse, p).unwrap();
+            assert!(grid.column_starts().windows(2).any(|w| w[0] == w[1]));
+            assert_plan_matches_schedule(&grid, n);
         }
     }
 }

@@ -282,7 +282,7 @@ impl DynamicGrid {
         let blocks = self.stored_blocks();
         let mut offsets = Vec::with_capacity(blocks.len() + 1);
         for b in &blocks {
-            offsets.push(edges.len());
+            offsets.push(edges.len() as u32);
             edges.extend_from_slice(&b.edges);
         }
         let mut out_degrees = vec![0u32; self.partition.num_vertices() as usize];

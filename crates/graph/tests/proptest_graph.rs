@@ -109,6 +109,32 @@ proptest! {
         }
     }
 
+    /// The column index equals a recount from the block list: on fresh
+    /// partitions by block (`P² ≤ E`, P ≤ 20 here) and by column, and on
+    /// `DynamicGrid` snapshots after adds, removes and repartitions.
+    #[test]
+    fn column_index_matches_a_recount(
+        g in arb_graph_up_to(400),
+        p in 1u32..40,
+        ops in proptest::collection::vec((0u8..3, 0u32..400, 0u32..400), 0..60),
+    ) {
+        let p = p.min(g.num_vertices());
+        let grid = GridGraph::partition(&g, p).unwrap();
+        check_column_index(&grid)?;
+        let mut dynamic = DynamicGrid::new(grid, 0.05);
+        for (kind, a, b) in ops {
+            let nv = dynamic.num_vertices();
+            let (src, dst) = (a % nv, b % nv);
+            let m = match kind {
+                0 => Mutation::AddEdge(Edge::new(src, dst)),
+                1 => Mutation::RemoveEdge { src, dst },
+                _ => Mutation::AddVertex,
+            };
+            let _ = dynamic.apply(m);
+            check_column_index(dynamic.grid())?;
+        }
+    }
+
     /// The intervals tile `0..V` in ascending order, and each interval's
     /// vertex range is exactly the set of vertices `interval_of` maps to it
     /// (the ranges are disjoint and cover `0..V`, so membership in one
@@ -236,6 +262,21 @@ proptest! {
     }
 }
 
+/// The grid's column index equals a recount of each destination
+/// interval's blocks in [`GridGraph::block_ids`].
+fn check_column_index(grid: &GridGraph) -> Result<(), TestCaseError> {
+    let p = grid.num_intervals() as usize;
+    let mut starts = vec![0u32; p + 1];
+    for id in grid.block_ids() {
+        starts[id.dst as usize + 1] += 1;
+    }
+    for d in 0..p {
+        starts[d + 1] += starts[d];
+    }
+    prop_assert_eq!(grid.column_starts(), &starts[..]);
+    Ok(())
+}
+
 /// Fixed graphs on each side of the partitioner's `P² ≤ E` rule: with
 /// `P² = E` it places every edge in one pass keyed by block, with
 /// `P² = E + 1` it scatters by column and sorts each column.
@@ -246,8 +287,25 @@ fn partition_at_the_block_count_boundary() {
         let mut g = EdgeList::new(40);
         g.extend((0..len).map(|i| Edge::with_weight(i * 17 % 40, (i * 23 + 1) % 40, i as f32)));
         check_naive_bucketing(&g, p).unwrap();
-        check_column_major(&GridGraph::partition(&g, p).unwrap()).unwrap();
+        let grid = GridGraph::partition(&g, p).unwrap();
+        check_column_major(&grid).unwrap();
+        check_column_index(&grid).unwrap();
     }
+}
+
+/// A snapshot taken after vertex growth forced a repartition still carries
+/// a column index that matches its blocks.
+#[test]
+fn column_index_survives_a_repartition() {
+    let mut g = EdgeList::new(40);
+    g.extend((0..120).map(|i| Edge::new(i * 17 % 40, (i * 23 + 1) % 40)));
+    let mut dynamic = DynamicGrid::new(GridGraph::partition(&g, 8).unwrap(), 0.05);
+    while dynamic.repartitions() == 0 {
+        dynamic.apply(Mutation::AddVertex).unwrap();
+    }
+    let new = dynamic.num_vertices() - 1;
+    dynamic.apply(Mutation::AddEdge(Edge::new(new, 3))).unwrap();
+    check_column_index(dynamic.grid()).unwrap();
 }
 
 /// The sparse grid equals a naive stable bucketing: the same edge sequence
