@@ -126,4 +126,10 @@ bench_smoke accum-tw 0 adbe8c72bb71c21a
 echo "==> dynamic benchmark smoke (column-major snapshots and repartition at scale)"
 bench_smoke dynamic-lj 0 0741e780f261c73b
 
+# A traced run also checks that its traced twin's reports equal the
+# untraced ones bit for bit: the block plan at P = 5096 and on snapshots.
+echo "==> traced high-P benchmark smokes (accum-tw at P = 5096, dynamic-lj at P = 600)"
+bench_smoke accum-tw 1 adbe8c72bb71c21a
+bench_smoke dynamic-lj 1 0741e780f261c73b
+
 echo "All checks passed."
