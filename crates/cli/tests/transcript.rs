@@ -9,7 +9,8 @@ use std::path::Path;
 use std::process::Command;
 
 /// Runs every line of `lines` with `tmp` substituted for `$TMP`, and
-/// returns the transcript with `tmp` written back as `$TMP`.
+/// returns the transcript with `tmp` written back as `$TMP`, followed by
+/// the bytes of every trace artifact (`$TMP/*.jsonl`) the lines wrote.
 fn transcript(lines: &str, tmp: &Path) -> String {
     let tmp = tmp.to_str().expect("utf-8 temp path");
     let mut text = String::new();
@@ -34,6 +35,19 @@ fn transcript(lines: &str, tmp: &Path) -> String {
             stderr.lines().next().unwrap_or("").replace(tmp, "$TMP"),
             stdout.replace(tmp, "$TMP"),
         );
+    }
+    // The report rounds floats, so the artifacts' exact `*_bits` fields
+    // are pinned here, byte for byte.
+    let mut artifacts: Vec<_> = std::fs::read_dir(tmp)
+        .expect("read temp dir")
+        .map(|entry| entry.expect("temp dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "jsonl"))
+        .collect();
+    artifacts.sort();
+    for path in artifacts {
+        let name = path.file_name().unwrap().to_string_lossy();
+        let bytes = std::fs::read_to_string(&path).expect("read artifact");
+        text += &format!("$ cat $TMP/{name}\n{bytes}\n");
     }
     text
 }
