@@ -9,7 +9,7 @@ use hyve_algorithms::{
 use hyve_baselines::CpuSystem;
 use hyve_core::{
     CoreError, FaultPlan, RunReport, SharedRecorder, SimulationSession, SuperBlockSchedule,
-    SystemConfig, TraceArtifact,
+    SystemConfig, TraceArtifact, TraceEvent,
 };
 use hyve_graph::{block_sparsity, io, EdgeList, GraphError, Rmat, VertexId};
 use hyve_graphr::GraphrEngine;
@@ -217,69 +217,79 @@ fn read_artifact(path: &str) -> Result<TraceArtifact, CliError> {
     TraceArtifact::from_jsonl(&text).map_err(|e| CliError::Failed(format!("{path}: {e}")))
 }
 
-/// Pretty-prints one artifact's breakdown.
+/// Pretty-prints one artifact's breakdown: its events in list order, the
+/// iteration line summing the iteration events before it.
 fn print_artifact(a: &TraceArtifact, out: &mut dyn Write) -> Result<(), CliError> {
-    writeln!(out, "algorithm : {} on {}", a.algorithm, a.config).map_err(io_err)?;
-    writeln!(
-        out,
-        "graph     : {} vertices, {} edges ({} intervals, {} PUs)",
-        a.num_vertices, a.num_edges, a.intervals, a.num_pus
-    )
-    .map_err(io_err)?;
-    let processed: u64 = a.iterations.iter().map(|s| s.blocks_processed).sum();
-    let skipped: u64 = a.iterations.iter().map(|s| s.blocks_skipped).sum();
-    writeln!(
-        out,
-        "iterations: {} ({} edge traversals; blocks {} processed / {} skipped)",
-        a.iterations_total, a.edges_processed, processed, skipped
-    )
-    .map_err(io_err)?;
-    writeln!(out, "phases:").map_err(io_err)?;
-    for (label, t) in a.phases.named() {
-        writeln!(out, "  {label:<12} {t}").map_err(io_err)?;
+    let (mut processed, mut skipped) = (0, 0);
+    for event in &a.events {
+        let text = match event {
+            TraceEvent::RunStart {
+                algorithm,
+                config,
+                num_vertices,
+                num_edges,
+                intervals,
+                num_pus,
+            } => format!(
+                "algorithm : {algorithm} on {config}\ngraph     : {num_vertices} vertices, \
+                 {num_edges} edges ({intervals} intervals, {num_pus} PUs)"
+            ),
+            TraceEvent::IterationEnd {
+                blocks_processed,
+                blocks_skipped,
+                ..
+            } => {
+                processed += blocks_processed;
+                skipped += blocks_skipped;
+                continue;
+            }
+            TraceEvent::Phases { phases } => {
+                let (iterations, edges) = a.run_totals();
+                let mut text = format!(
+                    "iterations: {iterations} ({edges} edge traversals; \
+                     blocks {processed} processed / {skipped} skipped)\nphases:"
+                );
+                for (label, t) in phases.named() {
+                    text += &format!("\n  {label:<12} {t}");
+                }
+                text + "\nchannels:"
+            }
+            TraceEvent::ChannelLedger { channel, stats } => format!(
+                "  {:<16} {:>10} reads {:>10} writes  dynamic {:>14}  background {:>14}  busy {}",
+                channel.name(),
+                stats.reads,
+                stats.writes,
+                format!("{}", stats.dynamic_energy),
+                format!("{}", stats.background_energy),
+                stats.busy_time,
+            ),
+            TraceEvent::GatingTransitions { transitions } => {
+                format!("gating    : {transitions} sleep/wake transitions")
+            }
+            TraceEvent::RouterTraffic { words, reroutes } => {
+                format!("router    : {words} words moved, {reroutes} reroute decisions")
+            }
+            TraceEvent::Reliability {
+                corrected,
+                uncorrectable,
+                retries,
+            } => format!(
+                "reliability: {corrected} corrected, {uncorrectable} uncorrectable \
+                 ({retries} retries)"
+            ),
+            TraceEvent::BankRemap {
+                chip,
+                bank,
+                spare_chip,
+                spare_bank,
+            } => format!("  remap    : bank {chip}:{bank} -> spare {spare_chip}:{spare_bank}"),
+            TraceEvent::RunEnd { .. } => {
+                format!("total     : {} | {}", a.total_energy(), a.elapsed())
+            }
+        };
+        writeln!(out, "{text}").map_err(io_err)?;
     }
-    writeln!(out, "channels:").map_err(io_err)?;
-    for c in &a.channels {
-        writeln!(
-            out,
-            "  {:<16} {:>10} reads {:>10} writes  dynamic {:>14}  background {:>14}  busy {}",
-            c.channel.name(),
-            c.stats.reads,
-            c.stats.writes,
-            format!("{}", c.stats.dynamic_energy),
-            format!("{}", c.stats.background_energy),
-            c.stats.busy_time,
-        )
-        .map_err(io_err)?;
-    }
-    if let Some(transitions) = a.gating_transitions {
-        writeln!(out, "gating    : {transitions} sleep/wake transitions").map_err(io_err)?;
-    }
-    if let Some(router) = &a.router {
-        writeln!(
-            out,
-            "router    : {} words moved, {} reroute decisions",
-            router.words, router.reroutes
-        )
-        .map_err(io_err)?;
-    }
-    if let Some(rel) = &a.reliability {
-        writeln!(
-            out,
-            "reliability: {} corrected, {} uncorrectable ({} retries)",
-            rel.corrected, rel.uncorrectable, rel.retries
-        )
-        .map_err(io_err)?;
-        for r in &rel.remaps {
-            writeln!(
-                out,
-                "  remap    : bank {}:{} -> spare {}:{}",
-                r.chip, r.bank, r.spare_chip, r.spare_bank
-            )
-            .map_err(io_err)?;
-        }
-    }
-    writeln!(out, "total     : {} | {}", a.total_energy(), a.elapsed()).map_err(io_err)
+    Ok(())
 }
 
 /// `hyve report <artifact> [<baseline>]`: pretty-prints one trace artifact,
@@ -659,7 +669,10 @@ mod tests {
         let p = path.to_str().unwrap().to_string();
         exec(&format!("run --alg pr --dataset tw --iters 1 --trace {p}")).unwrap();
         let artifact = TraceArtifact::from_jsonl(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(planned, artifact.intervals);
+        assert!(matches!(
+            artifact.events[0],
+            TraceEvent::RunStart { intervals, .. } if intervals == planned
+        ));
         std::fs::remove_file(path).ok();
     }
 

@@ -153,8 +153,8 @@ impl SimulationSession {
         let sink = self.sink.as_ref();
         if let Some(sink) = sink {
             sink.record(&TraceEvent::RunStart {
-                algorithm: program.name(),
-                config: self.config.name,
+                algorithm: program.name().to_string(),
+                config: self.config.name.to_string(),
                 num_vertices: grid.num_vertices(),
                 num_edges: grid.num_edges(),
                 intervals: p,
@@ -821,9 +821,14 @@ mod tests {
                 // iteration structure must not move.
                 let changed: Vec<(u32, bool)> = recorder
                     .artifact()
-                    .iterations
+                    .events
                     .iter()
-                    .map(|it| (it.iteration, it.changed))
+                    .filter_map(|e| match e {
+                        TraceEvent::IterationEnd {
+                            iteration, changed, ..
+                        } => Some((*iteration, *changed)),
+                        _ => None,
+                    })
                     .collect();
                 (report, values, changed)
             };

@@ -24,9 +24,10 @@
 //! * [`trace`] — structured observability: typed [`TraceEvent`]s fed to a
 //!   [`TraceSink`] attached via
 //!   [`SessionBuilder::with_trace`](session::SessionBuilder::with_trace);
-//!   the bundled sink is the versioned JSONL [`TraceArtifact`] itself,
-//!   read back through a [`SharedRecorder`]. Zero-cost when disabled, and observation never
-//!   perturbs accounting (golden reports are bit-identical either way),
+//!   the bundled sink is the [`TraceArtifact`] itself: the run's event
+//!   list, in order, written and parsed as versioned JSONL and read back
+//!   through a [`SharedRecorder`]. Zero-cost when disabled, and observation
+//!   never perturbs accounting (golden reports are bit-identical either way),
 //! * reliability — a deterministic seed-driven fault model
 //!   ([`FaultPlan`], [`EccProfile`]) with ECC correction, bounded retry,
 //!   and edge-bank sparing ([`BankSpareMap`]), surfaced as a
@@ -77,7 +78,4 @@ pub use router::Router;
 pub use schedule::{Assignment, SuperBlockSchedule};
 pub use session::{SessionBuilder, SimulationSession};
 pub use stats::{EnergyBreakdown, PhaseTimes, ReliabilityReport, RunReport};
-pub use trace::{
-    ReliabilityTotals, SharedRecorder, TraceArtifact, TraceChannel, TraceDiff, TraceEvent,
-    TraceSink,
-};
+pub use trace::{SharedRecorder, TraceArtifact, TraceChannel, TraceDiff, TraceEvent, TraceSink};

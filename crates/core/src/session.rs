@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn traced_run_is_bit_identical_and_recorder_matches_report() {
-        use crate::trace::{SharedRecorder, TraceChannel};
+        use crate::trace::{SharedRecorder, TraceChannel, TraceEvent};
         let g = graph();
         let plain = SimulationSession::builder(SystemConfig::hyve_opt())
             .build()
@@ -371,32 +371,64 @@ mod tests {
         assert_eq!(traced_values, plain_values);
 
         let a = recorder.artifact();
-        assert_eq!(a.algorithm, plain_report.algorithm);
-        assert_eq!(a.config, plain_report.config);
-        assert_eq!(a.iterations_total, plain_report.iterations);
-        assert_eq!(a.edges_processed, plain_report.edges_processed);
-        assert_eq!(a.intervals, plain_report.intervals);
-        assert_eq!(a.iterations.len() as u32, plain_report.iterations);
-        assert_eq!(a.phases, plain_report.phases);
-        assert_eq!(a.channels.len(), 4);
-        let edge = a
-            .channels
-            .iter()
-            .find(|c| c.channel == TraceChannel::EdgeMemory)
+        match &a.events[0] {
+            TraceEvent::RunStart {
+                algorithm,
+                config,
+                intervals,
+                ..
+            } => {
+                assert_eq!(algorithm, plain_report.algorithm);
+                assert_eq!(config, plain_report.config);
+                assert_eq!(*intervals, plain_report.intervals);
+            }
+            other => panic!("first event {other:?}"),
+        }
+        assert_eq!(
+            a.run_totals(),
+            (plain_report.iterations, plain_report.edges_processed)
+        );
+        assert!(a.events.contains(&TraceEvent::Phases {
+            phases: plain_report.phases
+        }));
+        assert_eq!(a.channels().count(), 4);
+        let (_, edge) = a
+            .channels()
+            .find(|&(c, _)| c == TraceChannel::EdgeMemory)
             .unwrap();
-        assert_eq!(edge.stats, plain_report.breakdown.edge_memory);
-        // hyve_opt gates the edge channel and shares through the router.
-        assert!(a.gating_transitions.is_some());
-        assert!(a.router.is_some());
+        assert_eq!(edge, plain_report.breakdown.edge_memory);
+        let iterations: Vec<_> = a
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::IterationEnd {
+                    iteration,
+                    changed,
+                    blocks_processed,
+                    ..
+                } => Some((*iteration, *changed, *blocks_processed)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(iterations.len() as u32, plain_report.iterations);
         // Iterations are 1-based and the last one converged (no change).
-        assert_eq!(a.iterations[0].iteration, 1);
-        assert!(!a.iterations.last().unwrap().changed);
-        assert!(a.iterations[0].blocks_processed > 0);
+        assert_eq!(iterations[0].0, 1);
+        assert!(!iterations.last().unwrap().1);
+        assert!(iterations[0].2 > 0);
+        // hyve_opt gates the edge channel and shares through the router;
+        // a fault-free run records no reliability events.
+        let has = |f: fn(&TraceEvent) -> bool| a.events.iter().any(f);
+        assert!(has(|e| matches!(e, TraceEvent::GatingTransitions { .. })));
+        assert!(has(|e| matches!(e, TraceEvent::RouterTraffic { .. })));
+        assert!(!has(|e| matches!(
+            e,
+            TraceEvent::Reliability { .. } | TraceEvent::BankRemap { .. }
+        )));
     }
 
     #[test]
     fn dirty_skipping_shows_up_in_trace_skip_counts() {
-        use crate::trace::SharedRecorder;
+        use crate::trace::{SharedRecorder, TraceEvent};
         let g = graph();
         let recorder = SharedRecorder::new();
         let session = SimulationSession::builder(SystemConfig::hyve_opt())
@@ -408,16 +440,19 @@ mod tests {
             .unwrap();
         let skipped: u64 = recorder
             .artifact()
-            .iterations
+            .events
             .iter()
-            .map(|s| s.blocks_skipped)
+            .map(|e| match e {
+                TraceEvent::IterationEnd { blocks_skipped, .. } => *blocks_skipped,
+                _ => 0,
+            })
             .sum();
         assert!(skipped > 0, "BFS opts into skipping; some blocks must skip");
     }
 
     #[test]
     fn accumulate_iterations_count_the_non_empty_blocks_walked() {
-        use crate::trace::SharedRecorder;
+        use crate::trace::{SharedRecorder, TraceEvent};
         // The paper's Fig. 1 graph: 11 edges in 9 of the 4×4 blocks.
         let edges = "1 0\n0 7\n2 3\n2 4\n3 4\n3 7\n4 1\n4 5\n6 2\n6 0\n7 1\n";
         let fig1 = hyve_graph::io::parse(edges.as_bytes()).unwrap();
@@ -428,11 +463,19 @@ mod tests {
             .build()
             .unwrap();
         session.run(&PageRank::new(3), &grid).unwrap();
-        let iterations = recorder.artifact().iterations;
-        assert_eq!(iterations.len(), 3);
-        for it in iterations {
-            assert_eq!(it.blocks_processed, grid.non_empty_blocks() as u64);
-            assert_eq!(it.blocks_skipped, 0);
-        }
+        let walked: Vec<(u64, u64)> = recorder
+            .artifact()
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::IterationEnd {
+                    blocks_processed,
+                    blocks_skipped,
+                    ..
+                } => Some((*blocks_processed, *blocks_skipped)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(walked, [(grid.non_empty_blocks() as u64, 0); 3]);
     }
 }

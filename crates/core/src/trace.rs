@@ -7,8 +7,11 @@
 //! [`TraceEvent`]s to a [`TraceSink`] attached via
 //! [`SessionBuilder::with_trace`](crate::SessionBuilder::with_trace). The
 //! bundled sink is the [`TraceArtifact`] itself (held through a
-//! [`SharedRecorder`]): it aggregates the events, serializes to a
-//! versioned JSONL file ([`SCHEMA`]) and diffs against another artifact.
+//! [`SharedRecorder`]): it keeps the run's events in order, serializes
+//! them to a versioned JSONL file ([`SCHEMA`]) and diffs against another
+//! artifact. Each event kind has one `encode` arm and one `decode` arm;
+//! every view of a run (the CLI report, [`TraceArtifact::diff`]) reads the
+//! event list.
 //!
 //! ## Observation never perturbs accounting
 //!
@@ -27,7 +30,6 @@
 //! (`*_bits`). The parser reads the hex field, so a round-tripped artifact
 //! is bit-identical to its source and a self-diff is exactly zero.
 
-use crate::controller::BankRemap;
 use crate::stats::PhaseTimes;
 use hyve_memsim::{AccessStats, Energy, Time};
 use std::collections::HashMap;
@@ -99,9 +101,9 @@ pub enum TraceEvent {
     /// A run began.
     RunStart {
         /// Algorithm name.
-        algorithm: &'static str,
+        algorithm: String,
         /// Configuration name.
-        config: &'static str,
+        config: String,
         /// Vertices in the graph.
         num_vertices: u32,
         /// Edges in the graph.
@@ -210,88 +212,18 @@ impl fmt::Debug for SharedSink {
     }
 }
 
-/// One iteration's sample in the artifact's time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IterationSample {
-    /// 1-based iteration index.
-    pub iteration: u32,
-    /// Whether any vertex value changed.
-    pub changed: bool,
-    /// Non-empty blocks walked.
-    pub blocks_processed: u64,
-    /// Non-empty blocks skipped as clean.
-    pub blocks_skipped: u64,
-}
-
-/// Final access totals of one channel.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChannelSeries {
-    /// Which channel.
-    pub channel: TraceChannel,
-    /// Run-total access statistics.
-    pub stats: AccessStats,
-}
-
-/// Router traffic totals over the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterTotals {
-    /// 32-bit words forwarded between PUs.
-    pub words: u64,
-    /// Reroute steps taken.
-    pub reroutes: u64,
-}
-
-/// Reliability totals of a fault run: the escalation counters plus every
-/// bank remap, in escalation order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ReliabilityTotals {
-    /// Bit errors corrected in-line by ECC.
-    pub corrected: u64,
-    /// Detectable-but-uncorrectable errors.
-    pub uncorrectable: u64,
-    /// Total re-read attempts across all uncorrectable errors.
-    pub retries: u64,
-    /// Edge banks remapped onto spares.
-    pub remaps: Vec<BankRemap>,
-}
-
-/// Aggregated metrics of one run, and the JSONL artifact's in-memory form.
+/// One run's trace, and the JSONL artifact's in-memory form: the events the
+/// run emitted, in order.
 ///
-/// The artifact is also the bundled [`TraceSink`]: it records the event
-/// stream of the most recent run, and a new [`TraceEvent::RunStart`] resets
-/// it, so a session that runs several programs leaves the last run's
-/// artifact behind. Attach it through a [`SharedRecorder`] to read it back
-/// after the run.
+/// The artifact is also the bundled [`TraceSink`]: recording pushes the
+/// event, and a new [`TraceEvent::RunStart`] clears the list first, so a
+/// session that runs several programs leaves the last run's artifact
+/// behind. Attach it through a [`SharedRecorder`] to read it back after the
+/// run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceArtifact {
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Configuration name.
-    pub config: String,
-    /// Vertices in the graph.
-    pub num_vertices: u32,
-    /// Edges in the graph.
-    pub num_edges: u64,
-    /// Interval partition count `P`.
-    pub intervals: u32,
-    /// Processing units `N`.
-    pub num_pus: u32,
-    /// Iterations executed.
-    pub iterations_total: u32,
-    /// Total edge traversals.
-    pub edges_processed: u64,
-    /// Per-iteration time series.
-    pub iterations: Vec<IterationSample>,
-    /// Run-total phase times.
-    pub phases: PhaseTimes,
-    /// Final per-channel ledgers, in report order.
-    pub channels: Vec<ChannelSeries>,
-    /// Power-gating transition pairs, when gating was on.
-    pub gating_transitions: Option<u64>,
-    /// Router traffic, when data sharing was on.
-    pub router: Option<RouterTotals>,
-    /// Reliability counters and remaps, when a fault plan was active.
-    pub reliability: Option<ReliabilityTotals>,
+    /// The run's events, in the order the engine emitted them.
+    pub events: Vec<TraceEvent>,
 }
 
 /// Escapes a string for a JSON string literal.
@@ -462,230 +394,296 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-impl TraceArtifact {
-    /// Sum of all channels' total energy.
-    pub fn total_energy(&self) -> Energy {
-        self.channels
-            .iter()
-            .fold(Energy::ZERO, |acc, c| acc + c.stats.total_energy())
-    }
+/// Tags of the header line's two halves. No line carries them: [`encode`]
+/// and [`decode`] name `RunStart` and `RunEnd` by them, and a body line
+/// that claims one is an unknown event.
+const RUN_START: &str = "run_start";
+const RUN_END: &str = "run_end";
 
-    /// Total elapsed simulated time.
-    pub fn elapsed(&self) -> Time {
-        self.phases.total()
-    }
+/// JSON members for `(name, unit, value)` floats, each written twice:
+/// every decimal `name_unit` field, then every exact `name_bits` hex field.
+fn floats(fields: &[(&str, &str, f64)]) -> String {
+    let decimal = fields
+        .iter()
+        .map(|(name, unit, v)| format!("\"{name}_{unit}\":{v}"));
+    let bits = fields
+        .iter()
+        .map(|(name, _, v)| format!("\"{name}_bits\":\"{:016x}\"", v.to_bits()));
+    decimal.chain(bits).collect::<Vec<_>>().join(",")
+}
 
-    /// Serializes to the versioned JSONL form ([`SCHEMA`]): a header line
-    /// followed by one event object per line. Floats carry both a decimal
-    /// and an exact hex-bits field; [`from_jsonl`](Self::from_jsonl) reads
-    /// the latter, so the round trip is bit-exact.
-    pub fn to_jsonl(&self) -> String {
-        use fmt::Write;
-        let bits = |v: f64| format!("{:016x}", v.to_bits());
-        let mut out = String::new();
-        writeln!(
-            out,
-            "{{\"schema\":\"{}\",\"algorithm\":\"{}\",\"config\":\"{}\",\
-             \"vertices\":{},\"edges\":{},\"intervals\":{},\"pus\":{},\
-             \"iterations\":{},\"edges_processed\":{}}}",
-            SCHEMA,
-            esc(&self.algorithm),
-            esc(&self.config),
-            self.num_vertices,
-            self.num_edges,
-            self.intervals,
-            self.num_pus,
-            self.iterations_total,
-            self.edges_processed,
-        )
-        .expect("string write");
-        for s in &self.iterations {
-            writeln!(
-                out,
-                "{{\"event\":\"iteration\",\"i\":{},\"changed\":{},\
-                 \"processed\":{},\"skipped\":{}}}",
-                s.iteration, s.changed, s.blocks_processed, s.blocks_skipped,
-            )
-            .expect("string write");
-        }
-        let p = &self.phases;
-        writeln!(
-            out,
-            "{{\"event\":\"phases\",\"loading_ns\":{},\"processing_ns\":{},\
-             \"updating_ns\":{},\"overhead_ns\":{},\"loading_bits\":\"{}\",\
-             \"processing_bits\":\"{}\",\"updating_bits\":\"{}\",\
-             \"overhead_bits\":\"{}\"}}",
-            p.loading.as_ns(),
-            p.processing.as_ns(),
-            p.updating.as_ns(),
-            p.overhead.as_ns(),
-            bits(p.loading.as_ns()),
-            bits(p.processing.as_ns()),
-            bits(p.updating.as_ns()),
-            bits(p.overhead.as_ns()),
-        )
-        .expect("string write");
-        for c in &self.channels {
-            let s = &c.stats;
-            writeln!(
-                out,
-                "{{\"event\":\"channel\",\"name\":\"{}\",\"reads\":{},\
-                 \"writes\":{},\"bits_read\":{},\"bits_written\":{},\
-                 \"dynamic_pj\":{},\"background_pj\":{},\"busy_ns\":{},\
-                 \"dynamic_bits\":\"{}\",\"background_bits\":\"{}\",\
-                 \"busy_bits\":\"{}\"}}",
-                c.channel.name(),
+/// Encodes one event as its kind tag and its JSON members, without braces.
+fn encode(event: &TraceEvent) -> (&'static str, String) {
+    match event {
+        TraceEvent::RunStart {
+            algorithm,
+            config,
+            num_vertices,
+            num_edges,
+            intervals,
+            num_pus,
+        } => (
+            RUN_START,
+            format!(
+                "\"algorithm\":\"{}\",\"config\":\"{}\",\"vertices\":{num_vertices},\
+                 \"edges\":{num_edges},\"intervals\":{intervals},\"pus\":{num_pus}",
+                esc(algorithm),
+                esc(config),
+            ),
+        ),
+        TraceEvent::IterationEnd {
+            iteration,
+            changed,
+            blocks_processed,
+            blocks_skipped,
+        } => (
+            "iteration",
+            format!(
+                "\"i\":{iteration},\"changed\":{changed},\
+                 \"processed\":{blocks_processed},\"skipped\":{blocks_skipped}"
+            ),
+        ),
+        TraceEvent::Phases { phases } => (
+            "phases",
+            floats(&phases.named().map(|(name, t)| (name, "ns", t.as_ns()))),
+        ),
+        TraceEvent::ChannelLedger { channel, stats: s } => (
+            "channel",
+            format!(
+                "\"name\":\"{}\",\"reads\":{},\"writes\":{},\"bits_read\":{},\
+                 \"bits_written\":{},{}",
+                channel.name(),
                 s.reads,
                 s.writes,
                 s.bits_read,
                 s.bits_written,
-                s.dynamic_energy.as_pj(),
-                s.background_energy.as_pj(),
-                s.busy_time.as_ns(),
-                bits(s.dynamic_energy.as_pj()),
-                bits(s.background_energy.as_pj()),
-                bits(s.busy_time.as_ns()),
-            )
-            .expect("string write");
+                floats(&[
+                    ("dynamic", "pj", s.dynamic_energy.as_pj()),
+                    ("background", "pj", s.background_energy.as_pj()),
+                    ("busy", "ns", s.busy_time.as_ns()),
+                ]),
+            ),
+        ),
+        TraceEvent::GatingTransitions { transitions } => {
+            ("gating", format!("\"transitions\":{transitions}"))
         }
-        if let Some(t) = self.gating_transitions {
-            writeln!(out, "{{\"event\":\"gating\",\"transitions\":{t}}}").expect("string write");
-        }
-        if let Some(r) = &self.router {
-            writeln!(
-                out,
-                "{{\"event\":\"router\",\"words\":{},\"reroutes\":{}}}",
-                r.words, r.reroutes,
-            )
-            .expect("string write");
-        }
-        if let Some(rel) = &self.reliability {
-            writeln!(
-                out,
-                "{{\"event\":\"reliability\",\"corrected\":{},\
-                 \"uncorrectable\":{},\"retries\":{}}}",
-                rel.corrected, rel.uncorrectable, rel.retries,
-            )
-            .expect("string write");
-            for r in &rel.remaps {
-                writeln!(
-                    out,
-                    "{{\"event\":\"remap\",\"chip\":{},\"bank\":{},\
-                     \"spare_chip\":{},\"spare_bank\":{}}}",
-                    r.chip, r.bank, r.spare_chip, r.spare_bank,
-                )
-                .expect("string write");
+        TraceEvent::RouterTraffic { words, reroutes } => (
+            "router",
+            format!("\"words\":{words},\"reroutes\":{reroutes}"),
+        ),
+        TraceEvent::Reliability {
+            corrected,
+            uncorrectable,
+            retries,
+        } => (
+            "reliability",
+            format!(
+                "\"corrected\":{corrected},\"uncorrectable\":{uncorrectable},\
+                 \"retries\":{retries}"
+            ),
+        ),
+        TraceEvent::BankRemap {
+            chip,
+            bank,
+            spare_chip,
+            spare_bank,
+        } => (
+            "remap",
+            format!(
+                "\"chip\":{chip},\"bank\":{bank},\"spare_chip\":{spare_chip},\
+                 \"spare_bank\":{spare_bank}"
+            ),
+        ),
+        TraceEvent::RunEnd {
+            iterations,
+            edges_processed,
+        } => (
+            RUN_END,
+            format!("\"iterations\":{iterations},\"edges_processed\":{edges_processed}"),
+        ),
+    }
+}
+
+/// Decodes the event of kind `kind` from a parsed line, the inverse of
+/// [`encode`]. Floats are read from their exact `*_bits` fields.
+fn decode(kind: &str, f: &Fields) -> Result<TraceEvent, String> {
+    Ok(match kind {
+        RUN_START => TraceEvent::RunStart {
+            algorithm: f.str("algorithm")?.into(),
+            config: f.str("config")?.into(),
+            num_vertices: f.u32("vertices")?,
+            num_edges: f.u64("edges")?,
+            intervals: f.u32("intervals")?,
+            num_pus: f.u32("pus")?,
+        },
+        "iteration" => TraceEvent::IterationEnd {
+            iteration: f.u32("i")?,
+            changed: f.bool("changed")?,
+            blocks_processed: f.u64("processed")?,
+            blocks_skipped: f.u64("skipped")?,
+        },
+        "phases" => TraceEvent::Phases {
+            phases: PhaseTimes {
+                loading: Time::from_ns(f.bits("loading_bits")?),
+                processing: Time::from_ns(f.bits("processing_bits")?),
+                updating: Time::from_ns(f.bits("updating_bits")?),
+                overhead: Time::from_ns(f.bits("overhead_bits")?),
+            },
+        },
+        "channel" => {
+            let name = f.str("name")?;
+            TraceEvent::ChannelLedger {
+                channel: TraceChannel::from_name(name)
+                    .ok_or_else(|| format!("unknown channel {name:?}"))?,
+                stats: AccessStats {
+                    reads: f.u64("reads")?,
+                    writes: f.u64("writes")?,
+                    bits_read: f.u64("bits_read")?,
+                    bits_written: f.u64("bits_written")?,
+                    dynamic_energy: Energy::from_pj(f.bits("dynamic_bits")?),
+                    background_energy: Energy::from_pj(f.bits("background_bits")?),
+                    busy_time: Time::from_ns(f.bits("busy_bits")?),
+                },
             }
+        }
+        "gating" => TraceEvent::GatingTransitions {
+            transitions: f.u64("transitions")?,
+        },
+        "router" => TraceEvent::RouterTraffic {
+            words: f.u64("words")?,
+            reroutes: f.u64("reroutes")?,
+        },
+        "reliability" => TraceEvent::Reliability {
+            corrected: f.u64("corrected")?,
+            uncorrectable: f.u64("uncorrectable")?,
+            retries: f.u64("retries")?,
+        },
+        "remap" => TraceEvent::BankRemap {
+            chip: f.u32("chip")?,
+            bank: f.u32("bank")?,
+            spare_chip: f.u32("spare_chip")?,
+            spare_bank: f.u32("spare_bank")?,
+        },
+        RUN_END => TraceEvent::RunEnd {
+            iterations: f.u32("iterations")?,
+            edges_processed: f.u64("edges_processed")?,
+        },
+        other => return Err(format!("unknown event {other:?}")),
+    })
+}
+
+impl TraceArtifact {
+    /// The final ledger of each channel, in the order recorded.
+    pub fn channels(&self) -> impl Iterator<Item = (TraceChannel, AccessStats)> + '_ {
+        self.events.iter().filter_map(|e| match e {
+            TraceEvent::ChannelLedger { channel, stats } => Some((*channel, *stats)),
+            _ => None,
+        })
+    }
+
+    /// Sum of all channels' total energy.
+    pub fn total_energy(&self) -> Energy {
+        self.channels()
+            .fold(Energy::ZERO, |acc, (_, stats)| acc + stats.total_energy())
+    }
+
+    /// Total elapsed simulated time: the sum of the run's phase times.
+    pub fn elapsed(&self) -> Time {
+        self.events
+            .iter()
+            .find_map(|e| match e {
+                TraceEvent::Phases { phases } => Some(phases.total()),
+                _ => None,
+            })
+            .unwrap_or(Time::ZERO)
+    }
+
+    /// Iterations executed and total edge traversals, from the closing
+    /// [`RunEnd`](TraceEvent::RunEnd); zeros if the run has not ended.
+    pub fn run_totals(&self) -> (u32, u64) {
+        self.events
+            .iter()
+            .find_map(|e| match e {
+                TraceEvent::RunEnd {
+                    iterations,
+                    edges_processed,
+                } => Some((*iterations, *edges_processed)),
+                _ => None,
+            })
+            .unwrap_or_default()
+    }
+
+    /// Serializes to the versioned JSONL form ([`SCHEMA`]). The header line
+    /// carries the schema tag and the members of `RunStart` and `RunEnd`;
+    /// every other event follows as one line, in list order.
+    /// [`from_jsonl`](Self::from_jsonl) reads the exact hex-bits fields, so
+    /// the round trip is bit-exact for any run the engine recorded. An
+    /// artifact without both run records writes a header that
+    /// [`from_jsonl`](Self::from_jsonl) rejects.
+    pub fn to_jsonl(&self) -> String {
+        let is_header =
+            |e: &&TraceEvent| matches!(e, TraceEvent::RunStart { .. } | TraceEvent::RunEnd { .. });
+        let mut out = format!("{{\"schema\":\"{SCHEMA}\"");
+        for event in self.events.iter().filter(is_header) {
+            out += ",";
+            out += &encode(event).1;
+        }
+        out += "}\n";
+        for event in self.events.iter().filter(|e| !is_header(e)) {
+            let (kind, members) = encode(event);
+            out += &format!("{{\"event\":\"{kind}\",{members}}}\n");
         }
         out
     }
 
-    /// Parses a [`SCHEMA`]-versioned JSONL artifact.
+    /// Parses a [`SCHEMA`]-versioned JSONL artifact: the header becomes
+    /// the first event (`RunStart`) and the last (`RunEnd`), and each
+    /// other line one event between them.
     ///
     /// # Errors
     ///
     /// [`TraceParseError`] on an unknown schema tag, malformed line, or
     /// unknown event kind.
     pub fn from_jsonl(text: &str) -> Result<TraceArtifact, TraceParseError> {
+        let at = |no: usize| {
+            move |message| TraceParseError {
+                line: no + 1,
+                message,
+            }
+        };
         let mut lines = text
             .lines()
             .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty())
-            .peekable();
-        let first = lines.peek().map(|&(no, _)| no).ok_or(TraceParseError {
+            .filter(|(_, l)| !l.trim().is_empty());
+        let (no, header) = lines.next().ok_or(TraceParseError {
             line: 0,
             message: "empty artifact".into(),
         })?;
-        let mut artifact = TraceArtifact::default();
-        for (no, line) in lines {
-            artifact
-                .decode(line, no == first)
-                .map_err(|message| TraceParseError {
-                    line: no + 1,
-                    message,
-                })?;
-        }
-        Ok(artifact)
-    }
-
-    /// Decodes one artifact line into `self`: the header when `header`,
-    /// else one event, which the artifact records as the engine's would be.
-    fn decode(&mut self, line: &str, header: bool) -> Result<(), String> {
-        let map = parse_flat_object(line)?;
-        let f = Fields(&map);
-        if header {
-            let schema = f.str("schema")?;
-            if schema != SCHEMA {
-                return Err(format!(
-                    "unsupported schema {schema:?} (expected {SCHEMA:?})"
-                ));
-            }
-            *self = TraceArtifact {
-                algorithm: f.str("algorithm")?.into(),
-                config: f.str("config")?.into(),
-                num_vertices: f.u32("vertices")?,
-                num_edges: f.u64("edges")?,
-                intervals: f.u32("intervals")?,
-                num_pus: f.u32("pus")?,
-                iterations_total: f.u32("iterations")?,
-                edges_processed: f.u64("edges_processed")?,
-                ..TraceArtifact::default()
-            };
-            return Ok(());
-        }
-        let event = match f.str("event")? {
-            "iteration" => TraceEvent::IterationEnd {
-                iteration: f.u32("i")?,
-                changed: f.bool("changed")?,
-                blocks_processed: f.u64("processed")?,
-                blocks_skipped: f.u64("skipped")?,
-            },
-            "phases" => TraceEvent::Phases {
-                phases: PhaseTimes {
-                    loading: Time::from_ns(f.bits("loading_bits")?),
-                    processing: Time::from_ns(f.bits("processing_bits")?),
-                    updating: Time::from_ns(f.bits("updating_bits")?),
-                    overhead: Time::from_ns(f.bits("overhead_bits")?),
-                },
-            },
-            "channel" => {
-                let name = f.str("name")?;
-                TraceEvent::ChannelLedger {
-                    channel: TraceChannel::from_name(name)
-                        .ok_or_else(|| format!("unknown channel {name:?}"))?,
-                    stats: AccessStats {
-                        reads: f.u64("reads")?,
-                        writes: f.u64("writes")?,
-                        bits_read: f.u64("bits_read")?,
-                        bits_written: f.u64("bits_written")?,
-                        dynamic_energy: Energy::from_pj(f.bits("dynamic_bits")?),
-                        background_energy: Energy::from_pj(f.bits("background_bits")?),
-                        busy_time: Time::from_ns(f.bits("busy_bits")?),
-                    },
+        let [start, end] = parse_flat_object(header)
+            .and_then(|map| {
+                let f = Fields(&map);
+                let schema = f.str("schema")?;
+                if schema != SCHEMA {
+                    return Err(format!(
+                        "unsupported schema {schema:?} (expected {SCHEMA:?})"
+                    ));
                 }
-            }
-            "gating" => TraceEvent::GatingTransitions {
-                transitions: f.u64("transitions")?,
-            },
-            "router" => TraceEvent::RouterTraffic {
-                words: f.u64("words")?,
-                reroutes: f.u64("reroutes")?,
-            },
-            "reliability" => TraceEvent::Reliability {
-                corrected: f.u64("corrected")?,
-                uncorrectable: f.u64("uncorrectable")?,
-                retries: f.u64("retries")?,
-            },
-            "remap" => TraceEvent::BankRemap {
-                chip: f.u32("chip")?,
-                bank: f.u32("bank")?,
-                spare_chip: f.u32("spare_chip")?,
-                spare_bank: f.u32("spare_bank")?,
-            },
-            other => return Err(format!("unknown event {other:?}")),
-        };
-        self.record(&event);
-        Ok(())
+                Ok([decode(RUN_START, &f)?, decode(RUN_END, &f)?])
+            })
+            .map_err(at(no))?;
+        let mut events = vec![start];
+        for (no, line) in lines {
+            let event = parse_flat_object(line).and_then(|map| {
+                let f = Fields(&map);
+                match f.str("event")? {
+                    kind @ (RUN_START | RUN_END) => Err(format!("unknown event {kind:?}")),
+                    kind => decode(kind, &f),
+                }
+            });
+            events.push(event.map_err(at(no))?);
+        }
+        events.push(end);
+        Ok(TraceArtifact { events })
     }
 
     /// Compares this artifact against `baseline`, channel by channel.
@@ -702,21 +700,19 @@ impl TraceArtifact {
             }
         };
         let channels = self
-            .channels
-            .iter()
-            .map(|c| {
+            .channels()
+            .map(|(channel, stats)| {
                 let base = baseline
-                    .channels
-                    .iter()
-                    .find(|b| b.channel == c.channel)
-                    .map(|b| b.stats)
+                    .channels()
+                    .find(|&(c, _)| c == channel)
+                    .map(|(_, s)| s)
                     .unwrap_or_default();
-                let e = c.stats.total_energy().as_pj();
+                let e = stats.total_energy().as_pj();
                 let be = base.total_energy().as_pj();
-                let t = c.stats.busy_time.as_ns();
+                let t = stats.busy_time.as_ns();
                 let bt = base.busy_time.as_ns();
                 ChannelDelta {
-                    channel: c.channel,
+                    channel,
                     energy_pj: e - be,
                     energy_pct: pct(e - be, be),
                     busy_ns: t - bt,
@@ -734,7 +730,7 @@ impl TraceArtifact {
             total_energy_pct: pct(e - be, be),
             elapsed_ns: t - bt,
             elapsed_pct: pct(t - bt, bt),
-            iterations: i64::from(self.iterations_total) - i64::from(baseline.iterations_total),
+            iterations: i64::from(self.run_totals().0) - i64::from(baseline.run_totals().0),
         }
     }
 }
@@ -795,83 +791,10 @@ impl fmt::Display for TraceDiff {
 
 impl TraceSink for TraceArtifact {
     fn record(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::RunStart {
-                algorithm,
-                config,
-                num_vertices,
-                num_edges,
-                intervals,
-                num_pus,
-            } => {
-                *self = TraceArtifact {
-                    algorithm: (*algorithm).into(),
-                    config: (*config).into(),
-                    num_vertices: *num_vertices,
-                    num_edges: *num_edges,
-                    intervals: *intervals,
-                    num_pus: *num_pus,
-                    ..TraceArtifact::default()
-                };
-            }
-            TraceEvent::IterationEnd {
-                iteration,
-                changed,
-                blocks_processed,
-                blocks_skipped,
-            } => self.iterations.push(IterationSample {
-                iteration: *iteration,
-                changed: *changed,
-                blocks_processed: *blocks_processed,
-                blocks_skipped: *blocks_skipped,
-            }),
-            TraceEvent::Phases { phases } => self.phases = *phases,
-            TraceEvent::ChannelLedger { channel, stats } => self.channels.push(ChannelSeries {
-                channel: *channel,
-                stats: *stats,
-            }),
-            TraceEvent::GatingTransitions { transitions } => {
-                self.gating_transitions = Some(*transitions);
-            }
-            TraceEvent::RouterTraffic { words, reroutes } => {
-                self.router = Some(RouterTotals {
-                    words: *words,
-                    reroutes: *reroutes,
-                });
-            }
-            TraceEvent::Reliability {
-                corrected,
-                uncorrectable,
-                retries,
-            } => {
-                let rel = self.reliability.get_or_insert_with(Default::default);
-                rel.corrected = *corrected;
-                rel.uncorrectable = *uncorrectable;
-                rel.retries = *retries;
-            }
-            TraceEvent::BankRemap {
-                chip,
-                bank,
-                spare_chip,
-                spare_bank,
-            } => self
-                .reliability
-                .get_or_insert_with(Default::default)
-                .remaps
-                .push(BankRemap {
-                    chip: *chip,
-                    bank: *bank,
-                    spare_chip: *spare_chip,
-                    spare_bank: *spare_bank,
-                }),
-            TraceEvent::RunEnd {
-                iterations,
-                edges_processed,
-            } => {
-                self.iterations_total = *iterations;
-                self.edges_processed = *edges_processed;
-            }
+        if matches!(event, TraceEvent::RunStart { .. }) {
+            self.events.clear();
         }
+        self.events.push(event.clone());
     }
 }
 
@@ -893,7 +816,7 @@ impl TraceSink for TraceArtifact {
 /// let graph = DatasetProfile::youtube_scaled().generate(1);
 /// let report = session.run_on_edge_list(&PageRank::new(3), &graph)?;
 /// let artifact = recorder.artifact();
-/// assert_eq!(artifact.iterations_total, report.iterations);
+/// assert_eq!(artifact.run_totals(), (report.iterations, report.edges_processed));
 /// # Ok(())
 /// # }
 /// ```
@@ -906,7 +829,7 @@ impl SharedRecorder {
         SharedRecorder::default()
     }
 
-    /// A copy of the aggregated artifact of the most recent run.
+    /// A copy of the artifact of the most recent run.
     pub fn artifact(&self) -> TraceArtifact {
         self.0.lock().expect("recorder poisoned").clone()
     }
@@ -922,71 +845,122 @@ impl TraceSink for SharedRecorder {
 mod tests {
     use super::*;
 
-    /// An artifact with awkward float values that would not survive a
-    /// decimal round trip.
-    fn artifact() -> TraceArtifact {
+    /// A fault run's events, every variant at least once, with awkward
+    /// float values that would not survive a decimal round trip.
+    fn events() -> Vec<TraceEvent> {
         let mut edge = AccessStats::new();
         edge.record_read(4096, Energy::from_pj(0.1 + 0.2), Time::from_ns(1.0 / 3.0));
         edge.record_background(Energy::from_pj(1e-17));
         let mut logic = AccessStats::new();
         logic.record_read(0, Energy::from_pj(2.5e9), Time::ZERO);
-        TraceArtifact {
-            algorithm: "PR".into(),
-            config: "acc+HyVE-opt".into(),
-            num_vertices: 1000,
-            num_edges: 5000,
-            intervals: 16,
-            num_pus: 8,
-            iterations_total: 2,
-            edges_processed: 10_000,
-            iterations: vec![
-                IterationSample {
-                    iteration: 1,
-                    changed: true,
-                    blocks_processed: 256,
-                    blocks_skipped: 0,
-                },
-                IterationSample {
-                    iteration: 2,
-                    changed: false,
-                    blocks_processed: 200,
-                    blocks_skipped: 56,
-                },
-            ],
-            phases: PhaseTimes {
-                loading: Time::from_ns(0.1),
-                processing: Time::from_ns(123.456_789),
-                updating: Time::from_ns(7.0 / 11.0),
-                overhead: Time::ZERO,
+        vec![
+            TraceEvent::RunStart {
+                algorithm: "PR".into(),
+                config: "acc+HyVE-opt".into(),
+                num_vertices: 1000,
+                num_edges: 5000,
+                intervals: 16,
+                num_pus: 8,
             },
-            channels: vec![
-                ChannelSeries {
-                    channel: TraceChannel::EdgeMemory,
-                    stats: edge,
+            TraceEvent::IterationEnd {
+                iteration: 1,
+                changed: true,
+                blocks_processed: 256,
+                blocks_skipped: 0,
+            },
+            TraceEvent::IterationEnd {
+                iteration: 2,
+                changed: false,
+                blocks_processed: 200,
+                blocks_skipped: 56,
+            },
+            TraceEvent::Phases {
+                phases: PhaseTimes {
+                    loading: Time::from_ns(0.1),
+                    processing: Time::from_ns(123.456_789),
+                    updating: Time::from_ns(7.0 / 11.0),
+                    overhead: Time::ZERO,
                 },
-                ChannelSeries {
-                    channel: TraceChannel::Logic,
-                    stats: logic,
-                },
-            ],
-            gating_transitions: Some(42),
-            router: Some(RouterTotals {
+            },
+            TraceEvent::ChannelLedger {
+                channel: TraceChannel::EdgeMemory,
+                stats: edge,
+            },
+            TraceEvent::ChannelLedger {
+                channel: TraceChannel::Logic,
+                stats: logic,
+            },
+            TraceEvent::GatingTransitions { transitions: 42 },
+            TraceEvent::RouterTraffic {
                 words: 123,
                 reroutes: 9,
-            }),
-            reliability: None,
-        }
+            },
+            TraceEvent::Reliability {
+                corrected: 17,
+                uncorrectable: 3,
+                retries: 8,
+            },
+            TraceEvent::BankRemap {
+                chip: 0,
+                bank: 3,
+                spare_chip: 7,
+                spare_bank: 7,
+            },
+            TraceEvent::BankRemap {
+                chip: 2,
+                bank: 1,
+                spare_chip: 7,
+                spare_bank: 6,
+            },
+            TraceEvent::RunEnd {
+                iterations: 2,
+                edges_processed: 10_000,
+            },
+        ]
     }
 
-    #[test]
-    fn jsonl_round_trip_is_bit_exact() {
-        let a = artifact();
+    /// The artifact recording [`events`] leaves behind.
+    fn artifact() -> TraceArtifact {
+        let mut a = TraceArtifact::default();
+        for event in &events() {
+            a.record(event);
+        }
+        a
+    }
+
+    /// Round-trips `a` and asserts the result is bit-exact: equal events
+    /// and byte-identical re-serialization.
+    fn assert_round_trips(a: &TraceArtifact) {
         let text = a.to_jsonl();
         let b = TraceArtifact::from_jsonl(&text).unwrap();
         // PartialEq over f64 fields: exact equality, not approximate.
-        assert_eq!(a, b);
-        // And the re-serialization is byte-identical.
+        assert_eq!(*a, b);
         assert_eq!(text, b.to_jsonl());
+    }
+
+    #[test]
+    fn every_variant_round_trips_bit_exactly() {
+        let a = artifact();
+        assert_eq!(a.events, events(), "recording keeps every event in order");
+        assert_round_trips(&a);
+        // No `_` arm: a new variant does not compile until it has a slot
+        // here and a case in `events`.
+        let mut seen = [0; 9];
+        for event in &a.events {
+            seen[match event {
+                TraceEvent::RunStart { .. } => 0,
+                TraceEvent::IterationEnd { .. } => 1,
+                TraceEvent::Phases { .. } => 2,
+                TraceEvent::ChannelLedger { .. } => 3,
+                TraceEvent::GatingTransitions { .. } => 4,
+                TraceEvent::RouterTraffic { .. } => 5,
+                TraceEvent::Reliability { .. } => 6,
+                TraceEvent::BankRemap { .. } => 7,
+                TraceEvent::RunEnd { .. } => 8,
+            }] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+        assert_eq!(seen[7], 2, "two remaps, in escalation order");
     }
 
     #[test]
@@ -1004,8 +978,16 @@ mod tests {
     fn diff_reports_deltas_and_percentages() {
         let a = artifact();
         let mut b = a.clone();
-        b.channels[0].stats.dynamic_energy += Energy::from_pj(0.3);
-        b.iterations_total += 1;
+        for event in &mut b.events {
+            match event {
+                TraceEvent::ChannelLedger {
+                    channel: TraceChannel::EdgeMemory,
+                    stats,
+                } => stats.dynamic_energy += Energy::from_pj(0.3),
+                TraceEvent::RunEnd { iterations, .. } => *iterations += 1,
+                _ => {}
+            }
+        }
         let d = b.diff(&a);
         assert!((d.channels[0].energy_pj - 0.3).abs() < 1e-12);
         assert!(d.channels[0].energy_pct > 0.0);
@@ -1016,51 +998,37 @@ mod tests {
     }
 
     #[test]
-    fn recorder_aggregates_event_stream() {
-        let mut rec = TraceArtifact::default();
-        rec.record(&TraceEvent::RunStart {
-            algorithm: "BFS",
-            config: "acc+HyVE",
+    fn run_start_clears_the_recorder() {
+        let mut rec = artifact();
+        assert!(rec
+            .events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Reliability { .. })));
+        let next = TraceEvent::RunStart {
+            algorithm: "BFS".into(),
+            config: "acc+HyVE".into(),
             num_vertices: 10,
             num_edges: 20,
             intervals: 8,
             num_pus: 8,
-        });
-        rec.record(&TraceEvent::IterationEnd {
-            iteration: 1,
-            changed: true,
-            blocks_processed: 64,
-            blocks_skipped: 0,
-        });
-        rec.record(&TraceEvent::Phases {
-            phases: PhaseTimes::default(),
-        });
-        rec.record(&TraceEvent::ChannelLedger {
-            channel: TraceChannel::EdgeMemory,
-            stats: AccessStats::new(),
-        });
-        rec.record(&TraceEvent::GatingTransitions { transitions: 5 });
-        rec.record(&TraceEvent::RunEnd {
-            iterations: 1,
-            edges_processed: 20,
-        });
-        let a = &rec;
-        assert_eq!(a.algorithm, "BFS");
-        assert_eq!(a.iterations.len(), 1);
-        assert_eq!(a.gating_transitions, Some(5));
-        assert_eq!(a.iterations_total, 1);
+        };
+        rec.record(&next);
+        assert_eq!(rec.events, [next]);
+    }
 
-        // A new RunStart resets to the new run.
-        rec.record(&TraceEvent::RunStart {
-            algorithm: "PR",
-            config: "acc+HyVE",
-            num_vertices: 10,
-            num_edges: 20,
-            intervals: 8,
-            num_pus: 8,
+    #[test]
+    fn fault_free_artifact_has_no_reliability_lines() {
+        let mut clean = artifact();
+        clean.events.retain(|e| {
+            !matches!(
+                e,
+                TraceEvent::Reliability { .. } | TraceEvent::BankRemap { .. }
+            )
         });
-        assert_eq!(rec.algorithm, "PR");
-        assert!(rec.iterations.is_empty());
+        let text = clean.to_jsonl();
+        assert!(!text.contains("reliability"), "{text}");
+        assert!(!text.contains("remap"), "{text}");
+        assert_round_trips(&clean);
     }
 
     #[test]
@@ -1070,92 +1038,11 @@ mod tests {
         let good = artifact().to_jsonl();
         let truncated: String = good.chars().take(good.len() - 4).collect();
         assert!(TraceArtifact::from_jsonl(&truncated).is_err());
-        let mut bad_event = good.clone();
-        bad_event.push_str("{\"event\":\"martian\"}\n");
-        let e = TraceArtifact::from_jsonl(&bad_event).unwrap_err();
-        assert!(e.message.contains("martian"), "{e}");
-    }
-
-    #[test]
-    fn reliability_round_trips_and_stays_absent_when_fault_free() {
-        // Fault-free artifacts carry no reliability lines at all.
-        let clean = artifact();
-        assert!(!clean.to_jsonl().contains("reliability"));
-
-        let mut faulty = clean.clone();
-        faulty.reliability = Some(ReliabilityTotals {
-            corrected: 17,
-            uncorrectable: 3,
-            retries: 8,
-            remaps: vec![
-                BankRemap {
-                    chip: 0,
-                    bank: 3,
-                    spare_chip: 7,
-                    spare_bank: 7,
-                },
-                BankRemap {
-                    chip: 2,
-                    bank: 1,
-                    spare_chip: 7,
-                    spare_bank: 6,
-                },
-            ],
-        });
-        let text = faulty.to_jsonl();
-        assert!(text.contains("\"event\":\"reliability\""));
-        assert_eq!(text.matches("\"event\":\"remap\"").count(), 2);
-        let back = TraceArtifact::from_jsonl(&text).unwrap();
-        assert_eq!(faulty, back);
-        assert_eq!(text, back.to_jsonl());
-    }
-
-    #[test]
-    fn recorder_aggregates_reliability_events() {
-        let mut rec = TraceArtifact::default();
-        rec.record(&TraceEvent::RunStart {
-            algorithm: "PR",
-            config: "acc+HyVE",
-            num_vertices: 10,
-            num_edges: 20,
-            intervals: 8,
-            num_pus: 8,
-        });
-        // Remap may arrive before or after the counter record; both orders
-        // must aggregate into the same artifact.
-        rec.record(&TraceEvent::BankRemap {
-            chip: 1,
-            bank: 4,
-            spare_chip: 7,
-            spare_bank: 7,
-        });
-        rec.record(&TraceEvent::Reliability {
-            corrected: 5,
-            uncorrectable: 1,
-            retries: 2,
-        });
-        let rel = rec.reliability.clone().expect("reliability");
-        assert_eq!(rel.corrected, 5);
-        assert_eq!(rel.retries, 2);
-        assert_eq!(
-            rel.remaps,
-            vec![BankRemap {
-                chip: 1,
-                bank: 4,
-                spare_chip: 7,
-                spare_bank: 7,
-            }]
-        );
-        // A new run resets the reliability totals along with the rest.
-        rec.record(&TraceEvent::RunStart {
-            algorithm: "BFS",
-            config: "acc+HyVE",
-            num_vertices: 10,
-            num_edges: 20,
-            intervals: 8,
-            num_pus: 8,
-        });
-        assert!(rec.reliability.is_none());
+        for bad in ["martian", RUN_START, RUN_END] {
+            let text = format!("{good}{{\"event\":\"{bad}\"}}\n");
+            let e = TraceArtifact::from_jsonl(&text).unwrap_err();
+            assert!(e.message.contains(bad), "{e}");
+        }
     }
 
     #[test]
@@ -1169,10 +1056,9 @@ mod tests {
     #[test]
     fn string_escaping_round_trips() {
         let mut a = artifact();
-        a.config = "weird \"name\" with \\slash\tand tab".to_string();
-        // `config` is `&'static str` upstream, but the artifact itself must
-        // survive arbitrary strings.
-        let b = TraceArtifact::from_jsonl(&a.to_jsonl()).unwrap();
-        assert_eq!(a.config, b.config);
+        if let TraceEvent::RunStart { config, .. } = &mut a.events[0] {
+            *config = "weird \"name\" with \\slash\tand tab".into();
+        }
+        assert_round_trips(&a);
     }
 }

@@ -10,7 +10,7 @@
 //! immediately instead.
 
 use hyve_algorithms::{EdgeProgram, ExecutionMode, GraphMeta, IterationBound};
-use hyve_core::{RunReport, SharedRecorder, SimulationSession, SystemConfig};
+use hyve_core::{RunReport, SharedRecorder, SimulationSession, SystemConfig, TraceEvent};
 use hyve_graph::{Edge, EdgeList, GridGraph, VertexId};
 
 const CAP: u32 = 40;
@@ -31,9 +31,12 @@ fn run<P: EdgeProgram>(program: &P) -> (RunReport, Vec<P::Value>, Vec<bool>) {
         .unwrap();
     let changed = recorder
         .artifact()
-        .iterations
+        .events
         .iter()
-        .map(|it| it.changed)
+        .filter_map(|e| match e {
+            TraceEvent::IterationEnd { changed, .. } => Some(*changed),
+            _ => None,
+        })
         .collect();
     (report, values, changed)
 }

@@ -11,7 +11,7 @@
 //! message as a no-op.
 
 use hyve_algorithms::{Bfs, ConnectedComponents, EdgeProgram, PageRank, SpMv, Sssp};
-use hyve_core::{RunReport, SharedRecorder, SimulationSession, SystemConfig};
+use hyve_core::{RunReport, SharedRecorder, SimulationSession, SystemConfig, TraceEvent};
 use hyve_graph::{Edge, EdgeList, GridGraph, VertexId};
 use proptest::prelude::*;
 
@@ -57,9 +57,14 @@ fn run<P: EdgeProgram>(
     // between skipping and full rescans by design.
     let changed = recorder
         .artifact()
-        .iterations
+        .events
         .iter()
-        .map(|it| (it.iteration, it.changed))
+        .filter_map(|e| match e {
+            TraceEvent::IterationEnd {
+                iteration, changed, ..
+            } => Some((*iteration, *changed)),
+            _ => None,
+        })
         .collect();
     (report, values, changed)
 }

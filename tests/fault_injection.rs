@@ -141,11 +141,26 @@ fn stuck_bank_run_completes_with_remap_in_trace_artifact() {
     let text = recorder.artifact().to_jsonl();
     assert!(text.contains("\"event\":\"remap\""), "{text}");
     let back = TraceArtifact::from_jsonl(&text).expect("artifact parses");
-    let totals = back.reliability.expect("reliability in artifact");
-    assert_eq!(totals.remaps.len(), 2);
-    assert_eq!(totals.remaps, rel.remaps);
-    assert_eq!(totals.remaps[0].chip, 0);
-    assert_eq!(totals.remaps[0].bank, 3);
+    let remaps: Vec<BankRemap> = back
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::BankRemap {
+                chip,
+                bank,
+                spare_chip,
+                spare_bank,
+            } => Some(BankRemap {
+                chip,
+                bank,
+                spare_chip,
+                spare_bank,
+            }),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(remaps, rel.remaps);
+    assert_eq!((remaps[0].chip, remaps[0].bank), (0, 3));
 }
 
 #[test]
