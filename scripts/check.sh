@@ -43,15 +43,19 @@ timeout 10 ./target/release/hyve-cli gen --vertices 1 --edges 1 --out "$trace_di
     exit 1
   }
 
-echo "==> trace smoke (run --trace, report, self-diff)"
+echo "==> trace smoke (run --trace, report, self-diff; YT, and TW at the planner's P = 5096)"
 ./target/release/hyve-cli run --alg pr --dataset yt --iters 3 \
   --trace "$trace_dir/smoke.jsonl" >/dev/null
+./target/release/hyve-cli run --alg pr --dataset tw --iters 1 \
+  --trace "$trace_dir/tw.jsonl" >/dev/null
 ./target/release/hyve-cli report "$trace_dir/smoke.jsonl" >/dev/null
-./target/release/hyve-cli report "$trace_dir/smoke.jsonl" "$trace_dir/smoke.jsonl" \
-  | grep -q "identical: yes" || {
-    echo "trace self-diff reported nonzero deltas" >&2
-    exit 1
-  }
+for artifact in smoke tw; do
+  ./target/release/hyve-cli report "$trace_dir/$artifact.jsonl" "$trace_dir/$artifact.jsonl" \
+    | grep -q "identical: yes" || {
+      echo "trace self-diff of $artifact.jsonl reported a difference" >&2
+      exit 1
+    }
+done
 
 echo "==> experiment driver smoke (one named artifact; unknown names exit 2)"
 table3="$(cargo run -q -p hyve-bench --release --offline --bin all_experiments -- table3)"
@@ -127,7 +131,10 @@ echo "==> dynamic benchmark smoke (column-major snapshots and repartition at sca
 bench_smoke dynamic-lj 0 0741e780f261c73b
 
 # A traced run also checks that its traced twin's reports equal the
-# untraced ones bit for bit: the block plan at P = 5096 and on snapshots.
+# untraced ones bit for bit, at P = 5096 and on snapshots. That covers the
+# plan's block lists. For PR on TW the plan's `sync_edges` does not reach
+# the report (the edge stream's block headers outlast processing), so
+# `exec::tests::plan_matches_schedule_iteration` is its guard there.
 echo "==> traced high-P benchmark smokes (accum-tw at P = 5096, dynamic-lj at P = 600)"
 bench_smoke accum-tw 1 adbe8c72bb71c21a
 bench_smoke dynamic-lj 1 0741e780f261c73b
